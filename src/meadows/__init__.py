@@ -3,9 +3,9 @@
 A meadow is a commutative ring with unit carrying a unary inverse that
 satisfies reflection ((x^-1)^-1 = x) and the restricted inverse law
 (x*(x*x^-1) = x); necessarily 0^-1 = 0.  Zero-totalized fields and their
-products are meadows, and every non-trivial finite meadow embeds into a
-finite product of zero-totalized fields — the `decompose` operation
-exhibits that embedding concretely.
+products are meadows, and every non-trivial finite meadow is isomorphic
+to a finite product of zero-totalized fields — the `decompose` operation
+exhibits that isomorphism concretely.
 
 The package provides the term language, finite structures as operation
 tables with exhaustive equation checking, constructors for prime fields,

@@ -11,8 +11,8 @@ Model references:
 
 Exit codes: 0 success/valid, 1 some checked formula is invalid, 2 parse or
 model error, 3 unbound variable or missing inverse table, 4 a size or
-search bound was hit, 5 the ring is not regular, 6 the field decomposition
-search was exhausted.
+search bound was hit, 5 the ring is not regular, 6 no field decomposition:
+the input is not a non-trivial meadow.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ class UniquenessViolated(MeadowError):
 
 
 class DecompositionNotFound(MeadowError):
-    """The field search was exhausted without covering every nonzero element."""
+    """The structure is not a non-trivial meadow, so it has no field decomposition."""
 
 
 class UnsupportedPremise(MeadowError):

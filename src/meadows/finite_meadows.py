@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DecompositionNotFound, MissingInverseTable, NotPrime, SizeOverflow,
-    UniquenessViolated,
+    DecompositionNotFound, MissingInverseTable, NotAMeadow, NotPrime,
+    SizeOverflow, UniquenessViolated,
 )
 from .structures import (
     FiniteStructure, Homomorphism, characteristic, find_homomorphisms,
-    is_minimal, is_zt_field, product, product_index,
+    idempotents, is_minimal, principal_ideal, product, product_index,
 )
 
 __all__ = [
@@ -330,80 +330,60 @@ def galois_descriptor(p: int, m: int) -> MeadowDescriptor:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Field images separating every nonzero element, plus the diagonal
-    embedding into their product."""
+    """One field component per primitive idempotent, plus the diagonal
+    isomorphism onto their product."""
 
     components: tuple[Homomorphism, ...]
     product: FiniteStructure
     diagonal: Homomorphism
 
 
-def _candidate_fields(max_size: int) -> list[FiniteStructure]:
-    # Prime fields first at each size (sizes are distinct anyway), ascending.
-    out = []
-    for n in range(2, max_size + 1):
-        if is_prime(n):
-            out.append(build_prime_field(n))
-            continue
-        primes = distinct_primes(n)
-        if len(primes) == 1:
-            p = primes[0]
-            m = 0
-            t = n
-            while t > 1:
-                t //= p
-                m += 1
-            out.append(build_galois_field(p, m))
-    return out
+def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
+    # The ideal e*s is a field; map it onto the canonical field of its size.
+    ideal = principal_ideal(s, e)
+    n = ideal.ring.size
+    p = distinct_primes(n)[0]
+    m = len(_decode(n, p)) - 1  # p^m has m+1 digits in base p
+    if p**m != n:
+        raise DecompositionNotFound(f"ideal of {e} has size {n}, not p^m")
+    field_ = build_prime_field(p) if m == 1 else build_galois_field(p, m)
+    isos = find_homomorphisms(ideal.ring, field_)
+    if not isos:
+        raise DecompositionNotFound(f"ideal of {e} is not {field_.name}")
+    return Homomorphism(
+        s, field_, tuple(isos[0](ideal.projection(y)) for y in range(s.size))
+    )
 
 
 def decompose(s: FiniteStructure) -> Decomposition:
-    """Write a non-trivial finite meadow as a substructure of a product of
-    zero-totalized fields.
+    """Write a non-trivial finite meadow as a product of zero-totalized
+    fields, by the structure theorem.
 
-    For every nonzero x the candidate fields (ascending size) are searched
-    for a homomorphic image sending x somewhere nonzero; the duplicates are
-    merged and the diagonal into the product of the chosen targets is
-    checked to be injective.
+    Each primitive idempotent e (minimal among the nonzero idempotents)
+    cuts out the field e*s; its component is y |-> e*y followed by an
+    isomorphism onto the canonical field of that size.  Any input that is
+    not a non-trivial meadow raises DecompositionNotFound.
     """
     if s.inv is None:
         raise MissingInverseTable(f"{s.name} has no inverse table")
     if s.zero == s.one:
         raise DecompositionNotFound(
-            "the one-element meadow has no nonzero element to separate"
+            "the one-element meadow has no nonzero idempotent, so no field"
         )
-    fields = _candidate_fields(s.size)
-    homs_cache: list[list[Homomorphism] | None] = [None] * len(fields)
-
-    def homs(fi: int) -> list[Homomorphism]:
-        if homs_cache[fi] is None:
-            homs_cache[fi] = find_homomorphisms(s, fields[fi], require_inv=True)
-        return homs_cache[fi]
-
-    chosen: dict[tuple[int, tuple[int, ...]], Homomorphism] = {}
-    for x in range(s.size):
-        if x == s.zero:
-            continue
-        hit = None
-        for fi, field_ in enumerate(fields):
-            for h in homs(fi):
-                if h(x) != field_.zero:
-                    hit = (fi, h)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise DecompositionNotFound(
-                f"no field of size <= {s.size} separates element {x} of {s.name}"
-            )
-        fi, h = hit
-        chosen.setdefault((fi, h.mapping), h)
-
-    components = tuple(
-        sorted(chosen.values(), key=lambda h: (h.target.size, h.mapping))
-    )
-    targets = [h.target for h in components]
-    prod = product(targets)
+    nonzero = [e for e in idempotents(s) if e != s.zero]
+    primitive = [
+        e for e in nonzero
+        if not any(f != e and s.mul[f][e] == f for f in nonzero)
+    ]
+    try:
+        components = tuple(sorted(
+            (_field_component(s, e) for e in primitive),
+            key=lambda h: (h.target.size, h.mapping),
+        ))
+        targets = [h.target for h in components]
+        prod = product(targets)  # ValueError when there is no component
+    except (NotAMeadow, ValueError) as exc:
+        raise DecompositionNotFound(f"{s.name} is not a meadow: {exc}") from None
     sizes = [t.size for t in targets]
     diagonal = Homomorphism(
         s,
@@ -416,7 +396,7 @@ def decompose(s: FiniteStructure) -> Decomposition:
     if not diagonal.is_injective:
         raise DecompositionNotFound(
             f"diagonal map of {s.name} is not injective"
-        )  # pragma: no cover - guaranteed by the separating choice
+        )
     return Decomposition(components, prod, diagonal)
 
 
@@ -435,7 +415,7 @@ class MinimalMeadowRow:
 def classify_minimal(up_to: int) -> list[MinimalMeadowRow]:
     """One row per squarefree k <= up_to: the minimal meadow of that
     characteristic, whether it is minimal (it is) and whether it is a field
-    (exactly for prime k)."""
+    (exactly for prime k: its only idempotents are 0 and 1)."""
     rows = []
     for k in range(1, up_to + 1):
         if not is_squarefree(k):
@@ -447,7 +427,7 @@ def classify_minimal(up_to: int) -> list[MinimalMeadowRow]:
                 size=s.size,
                 characteristic=characteristic(s),
                 minimal=is_minimal(s),
-                field=is_zt_field(s),
+                field=len(idempotents(s)) == 2,
                 structure=s,
             )
         )

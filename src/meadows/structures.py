@@ -167,7 +167,11 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
             case _:  # pragma: no cover
                 raise TypeError(f"not a term: {node!r}")
 
-    return rec(t)
+    # rec refers to itself through its closure; drop it so no cycle is left.
+    try:
+        return rec(t)
+    finally:
+        del rec
 
 
 def _bulk_eval(t, s, axes, scalars, memo):
@@ -212,7 +216,11 @@ def _bulk_eval(t, s, axes, scalars, memo):
         memo[key] = (node, arr)
         return arr
 
-    return rec(t)
+    # Break the cycle through rec so the memo is freed without the collector.
+    try:
+        return rec(t)
+    finally:
+        del rec
 
 
 def _atom_holds_scalar(atom: Atom, s, a) -> bool:

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from meadows import (
-    MD, DecompositionNotFound, MissingInverseTable, NotPrime, SizeOverflow,
+    MD, DecompositionNotFound, FiniteStructure, MissingInverseTable, NotPrime,
+    SizeOverflow,
     build_galois_field, build_mdk, build_prime_field, characteristic,
     check_axiom_set, check_equation, classify_minimal, decompose,
-    distinct_primes, find_homomorphisms, galois_descriptor,
+    distinct_primes, dump_structure, find_homomorphisms, galois_descriptor,
     inverse_by_power_cycle, is_meadow, is_minimal, is_prime, is_squarefree,
     is_zt_field, least_irreducible, ln_equation, mdk_descriptor,
     parse_equation, product, radical, zmod_ring,
@@ -12,6 +15,7 @@ from meadows import (
 
 Z2 = build_prime_field(2)
 Z3 = build_prime_field(3)
+GF4 = build_galois_field(2, 2)
 
 
 class TestNumberTheoryHelpers:
@@ -186,6 +190,28 @@ class TestGaloisFields:
         with pytest.raises(NotPrime):
             build_galois_field(4, 2)
 
+    def test_least_irreducible_against_sympy(self):
+        # Oracle: sympy's irreducibility test over Z/p.  Candidates are
+        # ranked by their lower coefficients read as a base-p number with
+        # the x^(m-1) coefficient most significant.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def irreducible(coeffs, p):
+            return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+        for p in (q for q in range(2, 257) if is_prime(q)):
+            m = 1
+            while p**m <= 256:
+                found = least_irreducible(p, m)
+                assert len(found) == m + 1 and found[-1] == 1
+                assert irreducible(found, p), (p, m, found)
+                rank = sum(c * p**i for i, c in enumerate(found[:-1]))
+                for smaller in range(rank):
+                    low = [(smaller // p**i) % p for i in range(m)]
+                    assert not irreducible(low + [1], p), (p, m, low)
+                m += 1
+
 
 class TestDecompose:
     def test_md30_components(self):
@@ -227,15 +253,22 @@ class TestDecompose:
         with pytest.raises(MissingInverseTable):
             decompose(zmod_ring(6))
 
-    def test_non_meadow_input_exhausts_the_search(self):
-        from meadows import FiniteStructure
-
+    def test_non_meadow_input_has_no_decomposition(self):
         ring = zmod_ring(4)
         fake = FiniteStructure(
             "Z/4+id", 4, 0, 1, ring.add, ring.mul, ring.neg, (0, 1, 2, 3)
         )
-        with pytest.raises(DecompositionNotFound):
-            decompose(fake)
+        # Z/6 with 3*3 and 4*4 overwritten: 1 is the only nonzero
+        # idempotent, and its ideal has 6 elements, not a prime power.
+        z6 = zmod_ring(6)
+        mul = [list(row) for row in z6.mul]
+        mul[3][3], mul[4][4] = 0, 2
+        no_split = FiniteStructure(
+            "Z/6*", 6, 0, 1, z6.add, mul, z6.neg, tuple(range(6))
+        )
+        for s in (fake, no_split):
+            with pytest.raises(DecompositionNotFound):
+                decompose(s)
 
     def test_diagonal_commutes_with_evaluation(self, small_battery):
         import random
@@ -252,6 +285,76 @@ class TestDecompose:
                 a = {"x": rng.randrange(s.size), "y": rng.randrange(s.size)}
                 b = {k: diag(v) for k, v in a.items()}
                 assert diag(eval_term(t, s, a)) == eval_term(t, diag.target, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_succeeds_exactly_on_meadows(self, seed):
+        # Relabeled small meadows, the same with one table entry overwritten,
+        # and uniformly random tables: decompose must either succeed or
+        # raise DecompositionNotFound, and it succeeds iff the laws hold.
+        rng = random.Random(seed)
+        for _ in range(100):
+            s = _random_table(rng)
+            try:
+                decompose(s)
+                found = True
+            except DecompositionNotFound:
+                found = False
+            assert found == is_meadow(s), dump_structure(s)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [None, (GF4, GF4), (GF4, build_galois_field(2, 3)),
+         (build_galois_field(3, 2), Z3)],
+        ids=["battery", "GF4xGF4", "GF4xGF8", "GF9xZ3"],
+    )
+    def test_components_agree_with_homomorphism_search(
+        self, nontrivial_battery, extra
+    ):
+        # Oracle: every component is among the homomorphisms that the
+        # generator-propagation search finds into its target, and the
+        # diagonal is a bijection onto the product.
+        structures = nontrivial_battery if extra is None else [product(extra)]
+        for s in structures:
+            result = decompose(s)
+            for h in result.components:
+                assert h in find_homomorphisms(s, h.target), (s.name, h)
+            assert sorted(result.diagonal.mapping) == list(
+                range(result.product.size)
+            ), s.name
+
+
+_SMALL_MEADOWS = (Z2, Z3, product([Z2, Z2]), GF4)
+
+
+def _random_table(rng: random.Random) -> FiniteStructure:
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randrange(2, 5)
+
+        def row():
+            return [rng.randrange(n) for _ in range(n)]
+
+        return FiniteStructure(
+            "random", n, rng.randrange(n), rng.randrange(n),
+            [row() for _ in range(n)], [row() for _ in range(n)], row(), row(),
+        )
+    base = rng.choice(_SMALL_MEADOWS)
+    n = base.size
+    perm = rng.sample(range(n), n)
+    add, mul = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    neg, inv = [0] * n, [0] * n
+    for a in range(n):
+        neg[perm[a]] = perm[base.neg[a]]
+        inv[perm[a]] = perm[base.inv[a]]
+        for b in range(n):
+            add[perm[a]][perm[b]] = perm[base.add[a][b]]
+            mul[perm[a]][perm[b]] = perm[base.mul[a][b]]
+    if kind == 2:
+        row = rng.choice([*add, *mul, neg, inv])
+        row[rng.randrange(n)] = rng.randrange(n)
+    return FiniteStructure(
+        "relabeled", n, perm[base.zero], perm[base.one], add, mul, neg, inv
+    )
 
 
 class TestPrimeCardinality:
@@ -282,6 +385,7 @@ class TestClassifyMinimal:
             assert row.minimal
             assert row.characteristic == row.k
             assert row.field == is_prime(row.k)
+            assert row.field == is_zt_field(row.structure)
 
     def test_rows_satisfy_meadow_laws(self):
         for row in classify_minimal(15):

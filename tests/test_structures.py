@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -120,6 +121,20 @@ class TestCheckEquation:
         monkeypatch.setattr(structures_module, "_BULK_MAX_CELLS", 10)
         chunked = check_equation(MD6, eq)
         assert scalar == chunked
+
+    @pytest.mark.parametrize("threshold", [10**9, 1], ids=["scalar", "bulk"])
+    def test_check_leaves_no_cyclic_garbage(self, monkeypatch, threshold):
+        # Reference counting alone must free each route's evaluator, and with
+        # it the bulk memo of full-grid arrays.
+        monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", threshold)
+        monkeypatch.setattr(structures_module, "_BULK_COST", threshold)
+        gc.collect()
+        gc.disable()
+        try:
+            check_equation(MD6, MD["distrib"])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAxiomSets:
