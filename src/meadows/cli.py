@@ -37,13 +37,12 @@ from .logic import (
     parse_formula,
 )
 from .rationals import (
-    RationalZT, eval_rational, parse_rational, sample_check,
-    sample_check_conditional,
+    RationalZT, eval_rational, parse_rational, sample_check_conditional,
 )
 from .structures import (
-    FiniteStructure, check_conditional, check_equation, dump_structure,
-    eval_term, is_zt_field, load_structure, product,
+    FiniteStructure, dump_structure, eval_term, load_structure, product,
 )
+from .suites import battery_check
 from .terms import parse_term
 from .vnr import expand_to_meadow
 
@@ -171,44 +170,28 @@ def cmd_check(
     seed: int = DEFAULT_SEED,
 ) -> tuple[str, int]:
     formula = parse_formula(formula_text)
+    models = [resolve_model(spec) for spec in model_specs]
+    report = battery_check(
+        formula, [m for m in models if not isinstance(m, RationalModel)]
+    )
+    finite_rows = iter(report.rows)
     lines = []
-    all_valid = True
-    finite_valid = True
-    fields_valid = True
-    saw_finite = False
-    for spec in model_specs:
-        model = resolve_model(spec)
+    all_valid = report.meadows_valid
+    for model in models:
         if isinstance(model, RationalModel):
-            if isinstance(formula, Equation):
-                verdict = sample_check(formula, samples, seed)
-            elif all(
-                isinstance(p, Equation) for p in formula.premises
-            ) and isinstance(formula.conclusion, Equation):
-                verdict = sample_check(encode_conditional(formula), samples, seed)
-            else:
-                verdict = sample_check_conditional(formula, samples, seed)
-            word = "valid" if verdict.holds else "invalid"
-            witness = _format_witness(verdict.counterexample)
-            lines.append(f"{model.name}\t{word}\t{witness}")
-            all_valid = all_valid and verdict.holds
-            continue
-        saw_finite = True
-        if isinstance(formula, Equation):
-            verdict = check_equation(model, formula)
+            verdict = sample_check_conditional(formula, samples, seed)
+            name, witness = model.name, verdict.counterexample
         else:
-            verdict = check_conditional(model, formula)
-        word = "valid" if verdict.holds else "invalid"
-        lines.append(f"{model.name}\t{word}\t{_format_witness(verdict.witness)}")
+            name, verdict = next(finite_rows)
+            witness = verdict.witness
         all_valid = all_valid and verdict.holds
-        finite_valid = finite_valid and verdict.holds
-        if is_zt_field(model):
-            fields_valid = fields_valid and verdict.holds
-    if saw_finite:
-        agree = "yes" if fields_valid == finite_valid else "no"
+        word = "valid" if verdict.holds else "invalid"
+        lines.append(f"{name}\t{word}\t{_format_witness(witness)}")
+    if report.rows:
         lines.append(
-            f"# fields: {'valid' if fields_valid else 'invalid'}"
-            f"\tmeadows: {'valid' if finite_valid else 'invalid'}"
-            f"\tagree: {agree}"
+            f"# fields: {'valid' if report.fields_valid else 'invalid'}"
+            f"\tmeadows: {'valid' if report.meadows_valid else 'invalid'}"
+            f"\tagree: {'yes' if report.agreement else 'no'}"
         )
     return "\n".join(lines) + "\n", 0 if all_valid else 1
 

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnboundVariable
-from .logic import ConditionalEquation, Equation
+from .logic import ConditionalEquation, Equation, encode_conditional
 from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
 
 __all__ = [
@@ -220,17 +220,26 @@ def _atom_holds(atom, a) -> bool:
 
 
 def sample_check_conditional(
-    ce: ConditionalEquation, samples: int = 500, seed: int = 0
+    formula: Equation | ConditionalEquation, samples: int = 500, seed: int = 0
 ) -> SampleVerdict:
-    """Sampled check of a conditional.
+    """Sampled check of an equation or a conditional.
 
-    Equational premises are satisfied on a measure-zero set, so random
-    points rarely exercise them; disequation premises (the guarded laws)
-    are hit constantly.  Callers with purely equational premises should
-    prefer checking the encoded equation instead.
+    An equation is sampled directly.  Equational premises are satisfied on a
+    measure-zero set, so random points rarely exercise them: a conditional
+    whose premises and conclusion are all equations is sampled through its
+    encoded equation (encode_conditional) instead.  Any other conditional
+    is sampled as is; disequation premises (the guarded laws) are hit
+    constantly.
     """
-    for a in sample_assignments(ce.variables(), samples, seed):
-        if all(_atom_holds(p, a) for p in ce.premises):
-            if not _atom_holds(ce.conclusion, a):
+    if isinstance(formula, ConditionalEquation) and all(
+        isinstance(atom, Equation)
+        for atom in (*formula.premises, formula.conclusion)
+    ):
+        formula = encode_conditional(formula)
+    if isinstance(formula, Equation):
+        return sample_check(formula, samples, seed)
+    for a in sample_assignments(formula.variables(), samples, seed):
+        if all(_atom_holds(p, a) for p in formula.premises):
+            if not _atom_holds(formula.conclusion, a):
                 return SampleVerdict(False, a, samples)
     return SampleVerdict(True, None, samples)

@@ -5,13 +5,14 @@ formats and front ends, not to the tables.  Structures are immutable after
 construction and all checkers are pure, so everything here can be shared
 freely between threads.
 
-Equation checking is exhaustive.  Small assignment spaces run through the
-plain recursive evaluator; large ones are evaluated in bulk with numpy over
-index arrays, which keeps full exhaustion over carriers of a couple hundred
-elements well inside interactive budgets.  Both routes return the
-lexicographically least falsifying assignment (variables in sorted order),
-so results are deterministic and the two routes can be cross-checked
-against each other.
+Equation checking is exhaustive.  Every check evaluates the whole
+assignment grid in bulk with numpy over index arrays (a formula without
+variables is a 0-d grid), which keeps full exhaustion over carriers of a
+couple hundred elements well inside interactive budgets.  The checker
+returns the lexicographically least falsifying assignment (variables in
+sorted order), so results are deterministic.  The plain recursive
+``eval_term`` evaluates single points and is the independent oracle the
+checker is tested against.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     FormatError, MissingInverseTable, NoFiniteCharacteristic, NotAMeadow,
     SearchBoundExceeded, SizeOverflow, UnboundVariable,
 )
-from .logic import CR, MD, ZIL, GIL, SEP, Atom, ConditionalEquation, Equation
-from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero, term_size
+from .logic import CR, MD, ZIL, GIL, SEP, ConditionalEquation, Equation
+from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
 
 __all__ = [
     "Assignment", "Verdict", "FiniteStructure", "Homomorphism",
@@ -42,10 +43,6 @@ __all__ = [
 
 Assignment = dict[str, int]
 
-# Assignment counts at or above this run through the numpy bulk evaluator;
-# below it, bulk still wins once assignments x term size gets large.
-_BULK_THRESHOLD = 4096
-_BULK_COST = 100_000
 # Bulk arrays above this many cells are chunked over the first variable.
 _BULK_MAX_CELLS = 200_000_000
 
@@ -202,10 +199,6 @@ def _bulk_eval(t, s, axes, scalars, memo):
             case Neg(arg):
                 arr = neg[rec(arg)]
             case Inv(arg):
-                if inv is None:
-                    raise MissingInverseTable(
-                        f"{s.name} has no inverse table but the term uses ^-1"
-                    )
                 arr = inv[rec(arg)]
             case Add(l, r):
                 arr = add[rec(l), rec(r)]
@@ -223,9 +216,17 @@ def _bulk_eval(t, s, axes, scalars, memo):
         del rec
 
 
-def _atom_holds_scalar(atom: Atom, s, a) -> bool:
-    same = eval_term(atom.lhs, s, a) == eval_term(atom.rhs, s, a)
-    return same if isinstance(atom, Equation) else not same
+def _uses_inv(t: Term) -> bool:
+    stack = [t]
+    while stack:
+        match stack.pop():
+            case Inv():
+                return True
+            case Neg(a):
+                stack.append(a)
+            case Add(l, r) | Mul(l, r):
+                stack += (l, r)
+    return False
 
 
 def _find_falsifier(s, premises, conclusion, variables, scalars):
@@ -233,25 +234,18 @@ def _find_falsifier(s, premises, conclusion, variables, scalars):
 
     Returns None when no such assignment exists.  `variables` is the sorted
     variable list fixing the lexicographic order; `scalars` pins a prefix of
-    them (used when chunking large grids).
+    them (used when chunking large grids).  A formula using ^-1 on a
+    structure without an inverse table raises before anything is evaluated,
+    whichever atoms the grid would have needed.
     """
+    if s.inv is None and any(
+        _uses_inv(a.lhs) or _uses_inv(a.rhs) for a in (*premises, conclusion)
+    ):
+        raise MissingInverseTable(
+            f"{s.name} has no inverse table but the term uses ^-1"
+        )
     free = [v for v in variables if v not in scalars]
-    total = s.size ** len(free)
-    nodes = sum(
-        term_size(atom.lhs) + term_size(atom.rhs)
-        for atom in (*premises, conclusion)
-    )
-
-    if not free or (total < _BULK_THRESHOLD and total * nodes < _BULK_COST):
-        for values in itertools.product(range(s.size), repeat=len(free)):
-            a = dict(scalars)
-            a.update(zip(free, values))
-            if all(_atom_holds_scalar(p, s, a) for p in premises):
-                if not _atom_holds_scalar(conclusion, s, a):
-                    return {v: a[v] for v in variables}
-        return None
-
-    if total > _BULK_MAX_CELLS:
+    if s.size ** len(free) > _BULK_MAX_CELLS:
         head = free[0]
         for value in range(s.size):
             inner = dict(scalars)
@@ -291,11 +285,21 @@ def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:
     return Verdict(witness is None, witness)
 
 
-def check_conditional(s: FiniteStructure, ce: ConditionalEquation) -> Verdict:
+def check_conditional(
+    s: FiniteStructure, formula: Equation | ConditionalEquation
+) -> Verdict:
     """Decide a conditional: every assignment satisfying the premises must
-    satisfy the conclusion.  Premises and conclusion may be disequations."""
-    variables = sorted(ce.variables())
-    witness = _find_falsifier(s, ce.premises, ce.conclusion, variables, {})
+    satisfy the conclusion.  Premises and conclusion may be disequations.
+
+    An Equation is checked as the conditional with no premises, so this is
+    the one entry point for any formula.
+    """
+    if isinstance(formula, Equation):
+        formula = ConditionalEquation((), formula)
+    variables = sorted(formula.variables())
+    witness = _find_falsifier(
+        s, formula.premises, formula.conclusion, variables, {}
+    )
     return Verdict(witness is None, witness)
 
 
@@ -322,11 +326,11 @@ def is_zt_field(s: FiniteStructure) -> bool:
     """Zero-totalized field: ring laws, guarded inverse law, separation, 0^-1=0."""
     if s.inv is None:
         return False
-    if not all(v.holds for v in check_axiom_set(s, CR).values()):
-        return False
-    if not check_equation(s, ZIL["Zil"]).holds:
-        return False
-    return check_conditional(s, GIL).holds and check_conditional(s, SEP).holds
+    # The laws with one variable or none first: a meadow that is not a
+    # field already fails GIL, before the three-variable ring laws run.
+    return all(
+        check_conditional(s, law).holds for law in (SEP, ZIL["Zil"], GIL)
+    ) and all(check_equation(s, eq).holds for eq in CR.values())
 
 
 def satisfies_iel(s: FiniteStructure) -> bool:

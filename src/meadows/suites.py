@@ -14,13 +14,11 @@ import random
 from dataclasses import dataclass
 
 from .finite_meadows import build_galois_field, build_mdk, build_prime_field
-from .logic import (
-    DERIVED_IDENTITIES, ConditionalEquation, Equation, encode_conditional,
-)
-from .rationals import SampleVerdict, sample_check, sample_check_conditional
+from .logic import DERIVED_IDENTITIES, ConditionalEquation, Equation
+from .rationals import SampleVerdict, sample_check_conditional
 from .structures import (
-    FiniteStructure, Verdict, check_conditional, check_equation, is_zt_field,
-    product, subalgebra_generated,
+    FiniteStructure, Verdict, check_conditional, is_zt_field, product,
+    subalgebra_generated,
 )
 from .terms import ONE, ZERO, Add, Inv, Mul, Neg, Term, Var
 
@@ -70,13 +68,10 @@ def derived_identity_suite(s: FiniteStructure) -> dict[str, Verdict]:
 
     Every entry must hold on any meadow; a failure means s is not one.
     """
-    out = {}
-    for name, formula in DERIVED_IDENTITIES.items():
-        if isinstance(formula, Equation):
-            out[name] = check_equation(s, formula)
-        else:
-            out[name] = check_conditional(s, formula)
-    return out
+    return {
+        name: check_conditional(s, formula)
+        for name, formula in DERIVED_IDENTITIES.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -104,20 +99,13 @@ def battery_check(
     seed: int = 0,
 ) -> BatteryReport:
     """Check a formula on every battery member, and optionally on sampled
-    rationals.
-
-    A conditional with purely equational premises is sampled through its
-    encoded equation (random points almost never satisfy equational
-    premises directly); one with disequation premises is sampled as is.
-    """
+    rationals (sample_check_conditional decides how each kind of formula is
+    sampled)."""
     rows = []
     fields_valid = True
     meadows_valid = True
     for s in battery:
-        if isinstance(formula, Equation):
-            verdict = check_equation(s, formula)
-        else:
-            verdict = check_conditional(s, formula)
+        verdict = check_conditional(s, formula)
         rows.append((s.name, verdict))
         meadows_valid = meadows_valid and verdict.holds
         if is_zt_field(s):
@@ -125,16 +113,7 @@ def battery_check(
 
     rational = None
     if rational_samples:
-        if isinstance(formula, Equation):
-            rational = sample_check(formula, rational_samples, seed)
-        elif all(isinstance(p, Equation) for p in formula.premises) and isinstance(
-            formula.conclusion, Equation
-        ):
-            rational = sample_check(
-                encode_conditional(formula), rational_samples, seed
-            )
-        else:
-            rational = sample_check_conditional(formula, rational_samples, seed)
+        rational = sample_check_conditional(formula, rational_samples, seed)
     return BatteryReport(tuple(rows), rational, fields_valid, meadows_valid)
 
 

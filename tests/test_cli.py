@@ -37,6 +37,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "x+*", "--model", "mdk:6")
         assert code == 2 and err
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--model", "zp:7", "--assign", "x=1", "--", "-x"
+        )
+        assert (code, out) == (0, "6\n")
+
     def test_bad_model_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "1", "--model", "zp:9")
         assert code == 2
@@ -117,6 +123,38 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "0 != 1", "--model", "mdk:1")
         assert code == 1
         assert "Md_1\tinvalid\t{}" in out
+
+    def test_rows_follow_model_order(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "x*y = 1 -> x^-1 = y",
+            "--model", "zp:5", "--model", "q", "--model", "mdk:6",
+        )
+        assert code == 0
+        assert out == (
+            "Z_5\tvalid\t-\nQ0\tvalid\t-\nMd_6\tvalid\t-\n"
+            "# fields: valid\tmeadows: valid\tagree: yes\n"
+        )
+
+    def test_raw_ring_with_inverse_exits_three(self, capsys, tmp_path):
+        # The conclusion holds everywhere; the premise still needs ^-1.
+        path = tmp_path / "z70.ring"
+        path.write_text(dump_structure(zmod_ring(70)), encoding="utf-8")
+        code, out, err = run(
+            capsys, "check", "x = x & y^-1 = y -> x+0 = x",
+            "--model", f"file:{path}",
+        )
+        assert (code, out) == (3, "")
+        assert "no inverse table" in err
+
+    def test_every_model_resolves_before_checking(self, capsys, tmp_path):
+        path = tmp_path / "z6.ring"
+        path.write_text(dump_structure(zmod_ring(6)), encoding="utf-8")
+        code, _, err = run(
+            capsys, "check", "x^-1 = x^-1",
+            "--model", f"file:{path}", "--model", "zp:9",
+        )
+        assert code == 2
+        assert "not prime" in err
 
     def test_seed_changes_sampling_reproducibly(self, capsys):
         first = run(capsys, "check", "inv(inv(x))=x", "--model", "q",

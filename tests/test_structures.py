@@ -6,18 +6,18 @@ import pytest
 
 import meadows.structures as structures_module
 from meadows import (
-    GIL, MD, SIP,
+    DERIVED_IDENTITIES, GIL, MD, SIP,
     FiniteStructure, FormatError, Homomorphism, MissingInverseTable,
-    UnboundVariable,
+    UnboundVariable, Verdict,
     build_mdk, build_prime_field,
     characteristic, check_axiom_set, check_conditional, check_equation,
     dump_structure, eval_term, find_homomorphisms, generating_set,
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
     load_structure, local_unit, numeral, parse_equation, parse_term,
     principal_ideal, product, product_coords, product_index,
-    satisfies_iel, subalgebra_generated, unit_of, zmod_ring,
+    parse_conditional, satisfies_iel, subalgebra_generated, unit_of, zmod_ring,
 )
-from meadows.logic import Equation
+from meadows.logic import ConditionalEquation, Equation
 from meadows.terms import Add, Inv, Mul, Neg, Var
 
 MD6 = build_mdk(6)
@@ -26,6 +26,26 @@ Z3 = build_prime_field(3)
 Z5 = build_prime_field(5)
 Z7 = build_prime_field(7)
 TRIVIAL = build_mdk(1)
+
+
+def brute_force(s, formula):
+    """The least falsifying assignment by eval_term over itertools.product,
+    variables in sorted order: the oracle for the bulk checker."""
+    if isinstance(formula, Equation):
+        formula = ConditionalEquation((), formula)
+    variables = sorted(formula.variables())
+
+    def holds(atom, a):
+        same = eval_term(atom.lhs, s, a) == eval_term(atom.rhs, s, a)
+        return same if isinstance(atom, Equation) else not same
+
+    for values in itertools.product(range(s.size), repeat=len(variables)):
+        a = dict(zip(variables, values))
+        if all(holds(p, a) for p in formula.premises) and not holds(
+            formula.conclusion, a
+        ):
+            return Verdict(False, a)
+    return Verdict(True, None)
 
 
 def z4_with_identity_inv():
@@ -97,7 +117,8 @@ class TestCheckEquation:
         verdict = check_equation(MD6, eq)
         assert verdict.witness == expected
 
-    def test_bulk_and_scalar_routes_agree(self, monkeypatch):
+    def test_bulk_and_scalar_routes_agree(self):
+        # The bulk checker against the scalar eval_term, point by point.
         equations = [
             parse_equation("x*(y+z) = x*y+x*z"),
             parse_equation("(x+y)+z = x+(y+z)"),
@@ -105,36 +126,43 @@ class TestCheckEquation:
             parse_equation("x*x^-1 = 1"),
             parse_equation("inv(x*y) = inv(x)*inv(y)"),
         ]
+        closed = parse_equation("(1+1)*(1+1)^-1 = 1")
         for s in (MD6, Z5, build_mdk(10)):
-            for eq in equations:
-                monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", 10**9)
-                scalar = check_equation(s, eq)
-                monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", 1)
-                bulk = check_equation(s, eq)
-                assert scalar == bulk
+            for eq in (*equations, closed):
+                assert check_equation(s, eq) == brute_force(s, eq), (s, eq)
+            for formula in (GIL, DERIVED_IDENTITIES["implicit_inverse"], closed):
+                assert check_conditional(s, formula) == brute_force(s, formula)
 
     def test_chunked_route_agrees(self, monkeypatch):
-        eq = parse_equation("x*(y+z) = x*y+x*y")  # fails somewhere
-        monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", 10**9)
-        scalar = check_equation(MD6, eq)
-        monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", 1)
+        # 10 cells forces chunks over x and then y on Md_6.
         monkeypatch.setattr(structures_module, "_BULK_MAX_CELLS", 10)
-        chunked = check_equation(MD6, eq)
-        assert scalar == chunked
+        for eq in (
+            parse_equation("x*(y+z) = x*y+x*y"),  # fails somewhere
+            MD["distrib"],
+        ):
+            assert check_equation(MD6, eq) == brute_force(MD6, eq)
 
-    @pytest.mark.parametrize("threshold", [10**9, 1], ids=["scalar", "bulk"])
-    def test_check_leaves_no_cyclic_garbage(self, monkeypatch, threshold):
-        # Reference counting alone must free each route's evaluator, and with
-        # it the bulk memo of full-grid arrays.
-        monkeypatch.setattr(structures_module, "_BULK_THRESHOLD", threshold)
-        monkeypatch.setattr(structures_module, "_BULK_COST", threshold)
+    def test_check_leaves_no_cyclic_garbage(self):
+        # Reference counting alone must free the evaluators, and with them
+        # the bulk memo of full-grid arrays.
         gc.collect()
         gc.disable()
         try:
             check_equation(MD6, MD["distrib"])
+            eval_term(MD["distrib"].lhs, MD6, {"x": 1, "y": 2, "z": 3})
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("k", [6, 70])
+    @pytest.mark.parametrize(
+        "text", ["x^-1 = 0 -> x = x", "x = x & y^-1 = y -> x+0 = x"]
+    )
+    def test_missing_inverse_table_raises_before_evaluation(self, k, text):
+        # The second conclusion holds everywhere, so a checker that only
+        # evaluates premises where needed would never reach the inverse.
+        with pytest.raises(MissingInverseTable):
+            check_conditional(zmod_ring(k), parse_conditional(text))
 
 
 class TestAxiomSets:
