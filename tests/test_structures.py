@@ -142,14 +142,17 @@ class TestCheckEquation:
         ):
             assert check_equation(MD6, eq) == brute_force(MD6, eq)
 
-    def test_check_leaves_no_cyclic_garbage(self):
-        # Reference counting alone must free the evaluators, and with them
-        # the bulk memo of full-grid arrays.
+    @pytest.mark.parametrize(
+        "check", [brute_force, check_equation], ids=["scalar", "bulk"]
+    )
+    def test_check_leaves_no_cyclic_garbage(self, check):
+        # Reference counting alone must free each evaluator: eval_term over
+        # every assignment, and the bulk checker with its memo of full-grid
+        # arrays.
         gc.collect()
         gc.disable()
         try:
-            check_equation(MD6, MD["distrib"])
-            eval_term(MD["distrib"].lhs, MD6, {"x": 1, "y": 2, "z": 3})
+            check(MD6, MD["distrib"])
             assert gc.collect() == 0
         finally:
             gc.enable()
