@@ -33,7 +33,8 @@ from .logic import (
     parse_equation, parse_formula, u_merge, z_term,
 )
 from .structures import (
-    Assignment, FiniteStructure, Homomorphism, PrincipalIdeal, Verdict,
+    MAX_TABLE_ENTRIES, Assignment, FiniteStructure, Homomorphism,
+    PrincipalIdeal, Verdict,
     characteristic, check_axiom_set, check_conditional, check_equation,
     dump_structure, eval_term, find_homomorphisms, generating_set,
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,

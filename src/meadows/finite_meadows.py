@@ -8,9 +8,12 @@ satisfying the defining equations p*q = p*p*p^-1*q = k*p^-1 = 0, so the
 characteristic drops to the radical.  Constructors therefore return the
 radical's meadow and record the requested k in the descriptor.
 
-Prime fields get the zero-totalized inverse directly; non-prime finite
-fields are built as polynomial quotients over Z/p modulo the smallest monic
-irreducible of the right degree, so tables are reproducible across runs.
+Prime fields get the zero-totalized inverse directly.  GF(p^m) is Z/p[x]
+modulo the smallest monic irreducible of degree m, so tables are
+reproducible across runs; its elements are their base-p digit vectors, and
+the tables are computed digitwise on whole numpy arrays.  ``decompose``
+sends each field component onto that canonical field through a root of the
+same modulus.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import numpy as np
 
 from .errors import (
     DecompositionNotFound, MissingInverseTable, NotAMeadow, NotPrime,
-    SizeOverflow, UniquenessViolated,
+    UniquenessViolated,
 )
 from .structures import (
-    FiniteStructure, Homomorphism, characteristic, find_homomorphisms,
-    idempotents, is_minimal, principal_ideal, product, product_index,
+    FiniteStructure, Homomorphism, _arrays, characteristic,
+    check_table_bound, generating_set, idempotents, is_minimal,
+    principal_ideal, product,
 )
 
 __all__ = [
@@ -85,34 +89,25 @@ def is_squarefree(k: int) -> bool:
 
 
 def build_prime_field(p: int) -> FiniteStructure:
-    """The zero-totalized prime field Z_p: mod-p tables with 0^-1 = 0."""
+    """The zero-totalized prime field Z_p: mod-p tables with 0^-1 = 0, which
+    are the tables of Md_p."""
     if not is_prime(p):
         raise NotPrime(p)
-    idx = list(range(p))
-    return FiniteStructure(
-        name=f"Z_{p}",
-        size=p,
-        zero=0,
-        one=1 % p,
-        add=tuple(tuple((a + b) % p for b in idx) for a in idx),
-        mul=tuple(tuple((a * b) % p for b in idx) for a in idx),
-        neg=tuple((-a) % p for a in idx),
-        inv=tuple(0 if a == 0 else pow(a, p - 2, p) for a in idx),
-    )
+    return _modular_meadow(p, f"Z_{p}")
 
 
 def build_mdk(k: int) -> FiniteStructure:
-    """The minimal meadow of characteristic radical(k), on Z/radical(k).
-
-    The inverse table holds, for each x, the unique y with x*x*y = x and
-    y*y*x = y; a scan finds it and asserts uniqueness.
-    """
+    """The minimal meadow of characteristic radical(k), on Z/radical(k)."""
     if k < 1:
         raise ValueError("k must be positive")
     r = radical(k)
-    if r == 1:
-        return FiniteStructure("Md_1", 1, 0, 0, ((0,),), ((0,),), (0,), (0,))
-    idx = np.arange(r)
+    return _modular_meadow(r, f"Md_{r}")
+
+
+def _modular_meadow(r: int, name: str) -> FiniteStructure:
+    # Z/r for squarefree r.  The inverse table holds, for each x, the unique
+    # y with x*x*y = x and y*y*x = y; a scan finds it and asserts uniqueness.
+    idx = np.arange(r, dtype=np.int32 if r * r < 2**31 else np.int64)
     add = (idx[:, None] + idx[None, :]) % r
     mul = (idx[:, None] * idx[None, :]) % r
     neg = (-idx) % r
@@ -125,16 +120,9 @@ def build_mdk(k: int) -> FiniteStructure:
         raise UniquenessViolated(
             f"double pseudoinverse not unique modulo {r}"
         )  # pragma: no cover - impossible for squarefree r
-    inv = both.argmax(axis=1)
     return FiniteStructure(
-        name=f"Md_{r}",
-        size=r,
-        zero=0,
-        one=1,
-        add=tuple(map(tuple, add.tolist())),
-        mul=tuple(map(tuple, mul.tolist())),
-        neg=tuple(neg.tolist()),
-        inv=tuple(int(v) for v in inv.tolist()),
+        name=name, size=r, zero=0, one=1 % r,
+        add=add, mul=mul, neg=neg, inv=both.argmax(axis=1),
     )
 
 
@@ -174,30 +162,6 @@ def inverse_by_power_cycle(n: int, k: int) -> int:
 # Polynomials over Z/p are little-endian coefficient tuples without trailing
 # zeros; an element of GF(p^m) is encoded as sum(c_i * p^i).
 
-def _poly_trim(cs: list[int]) -> tuple[int, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-        for i in range(n)
-    ])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, b, p):
     a = list(a)
     lead_inv = pow(b[-1], p - 2, p)
@@ -212,47 +176,18 @@ def _poly_mod(a, b, p):
     return tuple(a)
 
 
-def _poly_inv(a, modulus, p):
-    # Extended Euclid in Z/p[x]; a must be nonzero modulo an irreducible.
-    r0, r1 = tuple(modulus), tuple(a)
-    s0, s1 = (), (1,)
-    while r1:
-        # r0 = q*r1 + rem
-        q = []
-        rem = list(r0)
-        lead_inv = pow(r1[-1], p - 2, p)
-        q = [0] * max(len(rem) - len(r1) + 1, 0)
-        while len(rem) >= len(r1):
-            factor = (rem[-1] * lead_inv) % p
-            shift = len(rem) - len(r1)
-            q[shift] = factor
-            for i, bi in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - factor * bi) % p
-            del rem[-1]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        r0, r1 = r1, _poly_trim(rem)
-        qs1 = _poly_mul(_poly_trim(q), s1, p)
-        new_s = _poly_add(s0, [(-c) % p for c in qs1], p)
-        s0, s1 = s1, new_s
-    # r0 is a nonzero constant gcd; scale s0 by its inverse.
-    scale = pow(r0[0], p - 2, p)
-    return _poly_trim([(c * scale) % p for c in s0])
-
-
-def _encode(poly, p) -> int:
-    out = 0
-    for c in reversed(poly):
-        out = out * p + c
-    return out
-
-
 def _decode(e: int, p: int) -> tuple[int, ...]:
     cs = []
     while e:
         cs.append(e % p)
         e //= p
     return tuple(cs)
+
+
+def _digits(n: int, p: int, m: int) -> np.ndarray:
+    # The base-p digits of 0..n-1, little-endian: an n x m int32 array.
+    weights = np.int32(p) ** np.arange(m, dtype=np.int32)
+    return (np.arange(n, dtype=np.int32)[:, None] // weights) % np.int32(p)
 
 
 def least_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -286,37 +221,55 @@ def least_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("unreachable: irreducibles exist in every degree")  # pragma: no cover
 
 
-def build_galois_field(
-    p: int, m: int, carrier_bound: int = 10**6
-) -> FiniteStructure:
+def build_galois_field(p: int, m: int) -> FiniteStructure:
     """GF(p^m): polynomials over Z/p of degree < m, encoded base p,
-    multiplied modulo the least monic irreducible of degree m."""
+    multiplied modulo the least monic irreducible of degree m.
+
+    The tables are built digit by digit on the n x m array of all digits:
+    addition and negation digitwise mod p; multiplication from the digits
+    of x^i * b for every b, reduced by x^m = -(lower coefficients of the
+    modulus), so digit j of a*b is sum_i a_i * (x^i * b)_j mod p.  The
+    inverse of a != 0 is the b with a*b = 1, and 0^-1 = 0.
+    """
     if not is_prime(p):
         raise NotPrime(p)
     if m < 1:
         raise ValueError("degree must be positive")
     n = p**m
-    if n > carrier_bound:
-        raise SizeOverflow(f"GF({p}^{m}) exceeds carrier bound {carrier_bound}")
+    check_table_bound(n, f"GF({p}^{m})")
     modulus = least_irreducible(p, m)
-    polys = [_decode(e, p) for e in range(n)]
-
-    def mul_entry(a, b):
-        return _encode(_poly_mod(_poly_mul(a, b, p), modulus, p), p)
-
+    digits = _digits(n, p, m)
+    weights = np.int32(p) ** np.arange(m, dtype=np.int32)
+    add = np.zeros((n, n), dtype=np.int32)
+    mul = np.zeros((n, n), dtype=np.int32)
+    term = np.empty((n, n), dtype=np.int32)  # one scratch table, reused
+    for j in range(m):
+        d = digits[:, j]
+        np.add(d[:, None], d[None, :], out=term)
+        term %= p
+        term *= weights[j]
+        add += term
+    neg = ((-digits) % p) @ weights
+    # shifted[i] holds the digits of x^i * b, one row per b.
+    reduction = np.array([(-c) % p for c in modulus[:m]], dtype=np.int32)
+    shifted = [digits]
+    for _ in range(m - 1):
+        prev = shifted[-1]
+        up = np.zeros_like(prev)
+        up[:, 1:] = prev[:, :-1]
+        shifted.append((up + prev[:, -1:] * reduction) % p)
+    stacked = np.stack(shifted)  # (i, b, j)
+    for j in range(m):
+        np.matmul(digits, stacked[:, :, j], out=term)
+        term %= p
+        term *= weights[j]
+        mul += term
+    del term, shifted, stacked  # freed before the tables are converted
+    inv = (mul == 1).argmax(axis=1)
+    inv[0] = 0
     return FiniteStructure(
-        name=f"GF({p}^{m})",
-        size=n,
-        zero=0,
-        one=1,
-        add=tuple(
-            tuple(_encode(_poly_add(a, b, p), p) for b in polys) for a in polys
-        ),
-        mul=tuple(tuple(mul_entry(a, b) for b in polys) for a in polys),
-        neg=tuple(_encode(tuple((-c) % p for c in a), p) for a in polys),
-        inv=tuple(
-            0 if not a else _encode(_poly_inv(a, modulus, p), p) for a in polys
-        ),
+        name=f"GF({p}^{m})", size=n, zero=0, one=1,
+        add=add, mul=mul, neg=neg, inv=inv,
     )
 
 
@@ -339,20 +292,52 @@ class Decomposition:
 
 
 def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
-    # The ideal e*s is a field; map it onto the canonical field of its size.
+    # The ideal e*s is a field F of size p^m; map it onto the canonical field
+    # K = Z/p[x]/(f), f = least_irreducible(p, m).  Each root r of f in F
+    # gives the isomorphism sum(c_i x^i) |-> sum(c_i r^i) from K onto F, so
+    # F has m isomorphisms onto K and no search is needed.  Of these, keep
+    # the one with the lexicographically least images of generating_set(F):
+    # the first one a search over generator images would find.
     ideal = principal_ideal(s, e)
-    n = ideal.ring.size
+    ring = ideal.ring
+    n = ring.size
     p = distinct_primes(n)[0]
     m = len(_decode(n, p)) - 1  # p^m has m+1 digits in base p
     if p**m != n:
         raise DecompositionNotFound(f"ideal of {e} has size {n}, not p^m")
     field_ = build_prime_field(p) if m == 1 else build_galois_field(p, m)
-    isos = find_homomorphisms(ideal.ring, field_)
-    if not isos:
-        raise DecompositionNotFound(f"ideal of {e} is not {field_.name}")
-    return Homomorphism(
-        s, field_, tuple(isos[0](ideal.projection(y)) for y in range(s.size))
-    )
+    add, mul, _, _ = _arrays(ring)
+    numerals = np.full(p, ring.zero, dtype=np.int32)  # c |-> c*1 in F
+    for c in range(1, p):
+        numerals[c] = add[numerals[c - 1], ring.one]
+    elements = np.arange(n, dtype=np.int32)
+    value = np.full(n, numerals[1], dtype=np.int32)  # f(r) for every r, by Horner
+    for c in reversed(least_irreducible(p, m)[:-1]):
+        value = add[mul[value, elements], numerals[c]]
+    digits = _digits(n, p, m)
+    candidates = []
+    for r in np.flatnonzero(value == ring.zero):
+        image = np.full(n, ring.zero, dtype=np.int32)  # K -> F
+        power = ring.one
+        for i in range(m):
+            image = add[image, mul[numerals[digits[:, i]], power]]
+            power = mul[power, r]
+        if np.unique(image).size == n:
+            back = np.empty(n, dtype=np.int32)
+            back[image] = elements
+            candidates.append(back)
+    # The candidates are isomorphisms all or none: F is a field with the
+    # zero-totalized inverse or it is not, so checking the first suffices.
+    if candidates:
+        gens = generating_set(ring) if len(candidates) > 1 else []
+        back = min(candidates, key=lambda c: c[gens].tolist())
+        try:
+            return Homomorphism(
+                s, field_, back[np.asarray(ideal.projection.mapping)]
+            )
+        except ValueError:
+            pass
+    raise DecompositionNotFound(f"ideal of {e} is not {field_.name}")
 
 
 def decompose(s: FiniteStructure) -> Decomposition:
@@ -384,14 +369,10 @@ def decompose(s: FiniteStructure) -> Decomposition:
         prod = product(targets)  # ValueError when there is no component
     except (NotAMeadow, ValueError) as exc:
         raise DecompositionNotFound(f"{s.name} is not a meadow: {exc}") from None
-    sizes = [t.size for t in targets]
+    # z |-> the product element with coordinates h(z), in mixed radix.
+    radix = np.cumprod([1, *(t.size for t in targets[:-1])])
     diagonal = Homomorphism(
-        s,
-        prod,
-        tuple(
-            product_index([h(z) for h in components], sizes)
-            for z in range(s.size)
-        ),
+        s, prod, radix @ np.array([h.mapping for h in components])
     )
     if not diagonal.is_injective:
         raise DecompositionNotFound(

@@ -18,6 +18,7 @@ checker is tested against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +36,7 @@ __all__ = [
     "PrincipalIdeal",
     "eval_term", "check_equation", "check_conditional", "check_axiom_set",
     "is_meadow", "is_nontrivial", "is_zt_field", "satisfies_iel",
+    "MAX_TABLE_ENTRIES", "check_table_bound",
     "characteristic", "product", "product_index", "product_coords",
     "subalgebra_generated", "is_minimal", "generating_set",
     "find_homomorphisms", "idempotents", "unit_of", "principal_ideal",
@@ -45,6 +47,10 @@ Assignment = dict[str, int]
 
 # Bulk arrays above this many cells are chunked over the first variable.
 _BULK_MAX_CELLS = 200_000_000
+
+# Constructors that build whole tables at once refuse a structure whose
+# binary tables would hold more entries than this (a 1024-element carrier).
+MAX_TABLE_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,25 @@ class Verdict:
         return self.holds
 
 
-def _as_row(row: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(v) for v in row)
-
-
-def _as_table(table: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(_as_row(row) for row in table)
+def _int32(values, shape, bound, shape_error, range_error) -> np.ndarray:
+    """values as an owned read-only int32 array of the given shape with
+    entries in [0, bound), else ValueError(shape_error or range_error).  An
+    array passed in is range-checked before the cast, so nothing wraps."""
+    arr = values
+    if not isinstance(values, np.ndarray):
+        try:
+            arr = np.asarray(values, dtype=np.int32)
+        except OverflowError:
+            raise ValueError(range_error) from None
+        except ValueError:  # ragged rows
+            raise ValueError(shape_error) from None
+    if arr.shape != shape:
+        raise ValueError(shape_error)
+    if arr.min() < 0 or arr.max() >= bound:
+        raise ValueError(range_error)
+    out = arr.astype(np.int32, copy=arr is values)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,26 +105,31 @@ class FiniteStructure:
     inv: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "add", _as_table(self.add))
-        object.__setattr__(self, "mul", _as_table(self.mul))
-        object.__setattr__(self, "neg", _as_row(self.neg))
-        if self.inv is not None:
-            object.__setattr__(self, "inv", _as_row(self.inv))
         n = self.size
         if n < 1:
             raise ValueError("carrier must be non-empty")
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise ValueError("constants outside carrier")
-        for label, table in (("add", self.add), ("mul", self.mul)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise ValueError(f"{label} table is not {n}x{n}")
-            if any(not 0 <= v < n for row in table for v in row):
-                raise ValueError(f"{label} table entry outside carrier")
-        for label, row in (("neg", self.neg), ("inv", self.inv)):
-            if row is None:
-                continue
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError(f"{label} row is not a map on the carrier")
+        arrays = []
+        for label in ("add", "mul"):
+            table = _int32(
+                getattr(self, label), (n, n), n,
+                f"{label} table is not {n}x{n}",
+                f"{label} table entry outside carrier",
+            )
+            # Row by row, so no list of all n*n Python ints is built at once.
+            rows = tuple(tuple(row.tolist()) for row in table)
+            object.__setattr__(self, label, rows)
+            arrays.append(table)
+        for label in ("neg", "inv"):
+            row = getattr(self, label)
+            if row is not None:
+                message = f"{label} row is not a map on the carrier"
+                row = _int32(row, (n,), n, message, message)
+                object.__setattr__(self, label, tuple(row.tolist()))
+            arrays.append(row)
+        # The validated arrays serve as the numpy views of the tables.
+        object.__setattr__(self, "_np_cache", tuple(arrays))
 
     @property
     def has_inv(self) -> bool:
@@ -116,17 +140,9 @@ class FiniteStructure:
 
 
 def _arrays(s: FiniteStructure):
-    # Lazily cached numpy views of the tables, for the bulk evaluator.
-    cached = getattr(s, "_np_cache", None)
-    if cached is None:
-        cached = (
-            np.asarray(s.add, dtype=np.int32),
-            np.asarray(s.mul, dtype=np.int32),
-            np.asarray(s.neg, dtype=np.int32),
-            None if s.inv is None else np.asarray(s.inv, dtype=np.int32),
-        )
-        object.__setattr__(s, "_np_cache", cached)
-    return cached
+    # Read-only int32 views of the add, mul, neg and inv tables, kept from
+    # validation, for the bulk evaluator and the table operations.
+    return s._np_cache
 
 
 # --- evaluation ----------------------------------------------------------
@@ -382,52 +398,71 @@ def product_coords(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def check_table_bound(size: int, what: str) -> None:
+    """Raise SizeOverflow when a binary table on `size` elements would hold
+    more than MAX_TABLE_ENTRIES entries; called before anything is built."""
+    if size * size > MAX_TABLE_ENTRIES:
+        raise SizeOverflow(
+            f"{what} has {size}x{size} tables, above the bound of "
+            f"{MAX_TABLE_ENTRIES} entries"
+        )
+
+
 def product(
-    factors: Sequence[FiniteStructure],
-    name: str | None = None,
-    carrier_bound: int = 10**6,
+    factors: Sequence[FiniteStructure], name: str | None = None
 ) -> FiniteStructure:
-    """Componentwise product; carries an inverse iff every factor does."""
+    """Componentwise product; carries an inverse iff every factor does.
+    Each table is the sum over the factors k of the factor's table at the
+    mixed-radix coordinates (i // radix_k) % size_k, times radix_k."""
     if not factors:
         raise ValueError("product of no factors")
     sizes = [f.size for f in factors]
-    size = 1
-    for n in sizes:
-        size *= n
-        if size > carrier_bound:
-            raise SizeOverflow(
-                f"product carrier exceeds bound {carrier_bound}"
-            )
-    coords = [product_coords(i, sizes) for i in range(size)]
-    with_inv = all(f.inv is not None for f in factors)
+    size = math.prod(sizes)
+    check_table_bound(size, "the product")
+    radix = np.cumprod([1, *sizes[:-1]], dtype=np.int32)
+    coords = (np.arange(size, dtype=np.int32)[:, None] // radix) % np.int32(sizes)
+    add, mul, neg, inv = zip(*(_arrays(f) for f in factors))
 
     def binary(tables):
-        return tuple(
-            tuple(
-                product_index(
-                    [t[a[k]][b[k]] for k, t in enumerate(tables)], sizes
-                )
-                for b in coords
-            )
-            for a in coords
-        )
+        out = np.zeros((size, size), dtype=np.int32)
+        for c, r, t in zip(coords.T, radix, tables):
+            out += t[c[:, None], c[None, :]] * r
+        return out
 
     def unary(rows):
-        return tuple(
-            product_index([r[a[k]] for k, r in enumerate(rows)], sizes)
-            for a in coords
-        )
+        return sum(row[c] * r for c, r, row in zip(coords.T, radix, rows))
 
     return FiniteStructure(
         name=name or "(" + " x ".join(f.name for f in factors) + ")",
         size=size,
         zero=product_index([f.zero for f in factors], sizes),
         one=product_index([f.one for f in factors], sizes),
-        add=binary([f.add for f in factors]),
-        mul=binary([f.mul for f in factors]),
-        neg=unary([f.neg for f in factors]),
-        inv=unary([f.inv for f in factors]) if with_inv else None,
+        add=binary(add),
+        mul=binary(mul),
+        neg=unary(neg),
+        inv=None if any(row is None for row in inv) else unary(inv),
     )
+
+
+def _restrict(s: FiniteStructure, elems: np.ndarray, name: str, one: int):
+    """The tables of s on the ascending elements elems, re-indexed from 0,
+    and the re-indexing (-1 off elems).  ValueError when elems is not
+    closed under the operations or lacks the zero."""
+    add, mul, neg, inv = _arrays(s)
+    index = np.full(s.size, -1, dtype=np.int32)
+    index[elems] = np.arange(elems.size, dtype=np.int32)
+    rows, cols = elems[:, None], elems[None, :]
+    restricted = FiniteStructure(
+        name=name,
+        size=elems.size,
+        zero=int(index[s.zero]),
+        one=int(index[one]),
+        add=index[add[rows, cols]],
+        mul=index[mul[rows, cols]],
+        neg=index[neg[elems]],
+        inv=None if inv is None else index[inv[elems]],
+    )
+    return restricted, index
 
 
 def _closure(s: FiniteStructure, seeds: Iterable[int]) -> set[int]:
@@ -464,20 +499,10 @@ def subalgebra_generated(
         if not 0 <= e < s.size:
             raise ValueError(f"seed {e} outside carrier")
     elems = sorted(_closure(s, seeds))
-    index = {e: i for i, e in enumerate(elems)}
     label = f"sub({s.name})" if not seeds else (
         f"sub({s.name};" + ",".join(map(str, seeds)) + ")"
     )
-    sub = FiniteStructure(
-        name=label,
-        size=len(elems),
-        zero=index[s.zero],
-        one=index[s.one],
-        add=tuple(tuple(index[s.add[a][b]] for b in elems) for a in elems),
-        mul=tuple(tuple(index[s.mul[a][b]] for b in elems) for a in elems),
-        neg=tuple(index[s.neg[a]] for a in elems),
-        inv=None if s.inv is None else tuple(index[s.inv[a]] for a in elems),
-    )
+    sub, _ = _restrict(s, np.array(elems), label, s.one)
     inclusion = Homomorphism(sub, s, tuple(elems))
     return sub, inclusion
 
@@ -503,31 +528,43 @@ def generating_set(s: FiniteStructure) -> list[int]:
 @dataclass(frozen=True)
 class Homomorphism:
     """A carrier map commuting with 0, 1, +, -, * and, whenever both sides
-    carry one, with ^-1.  Construction validates all of this."""
+    carry one, with ^-1.  Construction validates all of this on the whole
+    tables at once and reports the least failing element or pair."""
 
     source: FiniteStructure
     target: FiniteStructure
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", _as_row(self.mapping))
-        src, tgt, m = self.source, self.target, self.mapping
-        if len(m) != src.size or any(not 0 <= v < tgt.size for v in m):
-            raise ValueError("mapping is not a function into the target carrier")
+        src, tgt = self.source, self.target
+        message = "mapping is not a function into the target carrier"
+        m = _int32(self.mapping, (src.size,), tgt.size, message, message)
+        object.__setattr__(self, "mapping", tuple(m.tolist()))
         if m[src.zero] != tgt.zero or m[src.one] != tgt.one:
             raise ValueError("constants not preserved")
-        for a in range(src.size):
-            if m[src.neg[a]] != tgt.neg[m[a]]:
+        # Every law on the whole table at once.  The error reported is the
+        # one a scan of a, then b, would meet first: negation at a before
+        # addition, then multiplication, at (a, b); the inverse after those.
+        s_add, s_mul, s_neg, s_inv = _arrays(src)
+        t_add, t_mul, t_neg, t_inv = _arrays(tgt)
+        rows, cols = m[:, None], m[None, :]
+        neg_bad = m[s_neg] != t_neg[m]
+        add_bad = m[s_add] != t_add[rows, cols]
+        mul_bad = m[s_mul] != t_mul[rows, cols]
+        bad_rows = neg_bad | add_bad.any(axis=1) | mul_bad.any(axis=1)
+        if bad_rows.any():
+            a = int(bad_rows.argmax())
+            if neg_bad[a]:
                 raise ValueError(f"negation not preserved at {a}")
-            for b in range(src.size):
-                if m[src.add[a][b]] != tgt.add[m[a]][m[b]]:
-                    raise ValueError(f"addition not preserved at ({a},{b})")
-                if m[src.mul[a][b]] != tgt.mul[m[a]][m[b]]:
-                    raise ValueError(f"multiplication not preserved at ({a},{b})")
-        if src.inv is not None and tgt.inv is not None:
-            for a in range(src.size):
-                if m[src.inv[a]] != tgt.inv[m[a]]:
-                    raise ValueError(f"inverse not preserved at {a}")
+            b = int((add_bad[a] | mul_bad[a]).argmax())
+            law = "addition" if add_bad[a, b] else "multiplication"
+            raise ValueError(f"{law} not preserved at ({a},{b})")
+        if s_inv is not None and t_inv is not None:
+            inv_bad = m[s_inv] != t_inv[m]
+            if inv_bad.any():
+                raise ValueError(
+                    f"inverse not preserved at {int(inv_bad.argmax())}"
+                )
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -663,31 +700,20 @@ def principal_ideal(s: FiniteStructure, x: int) -> PrincipalIdeal:
     if s.mul[x][s.mul[x][s.inv[x]]] != x:
         raise NotAMeadow(f"restricted inverse law fails at {x} in {s.name}")
     e = unit_of(s, x)
-    elems = sorted({s.mul[x][r] for r in range(s.size)})
-    by_unit = sorted({s.mul[e][r] for r in range(s.size)})
-    inside = set(elems)
-    if by_unit != elems or not {x, e, s.inv[x]} <= inside:
+    mul = _arrays(s)[1]
+    elems = np.unique(mul[x])
+    if not np.array_equal(np.unique(mul[e]), elems) or not np.isin(
+        [x, e, s.inv[x]], elems
+    ).all():
         raise NotAMeadow(f"{s.name} does not behave like a meadow at {x}")
-    index = {v: i for i, v in enumerate(elems)}
     try:
-        ring = FiniteStructure(
-            name=f"{s.name}|{x}",
-            size=len(elems),
-            zero=index[s.zero],
-            one=index[e],
-            add=tuple(tuple(index[s.add[a][b]] for b in elems) for a in elems),
-            mul=tuple(tuple(index[s.mul[a][b]] for b in elems) for a in elems),
-            neg=tuple(index[s.neg[a]] for a in elems),
-            inv=tuple(index[s.inv[a]] for a in elems),
-        )
-    except KeyError:
+        ring, index = _restrict(s, elems, f"{s.name}|{x}", e)
+    except ValueError:
         raise NotAMeadow(
             f"ideal of {x} in {s.name} is not closed under the operations"
         ) from None
-    projection = Homomorphism(
-        s, ring, tuple(index[s.mul[e][y]] for y in range(s.size))
-    )
-    return PrincipalIdeal(tuple(elems), e, ring, projection)
+    projection = Homomorphism(s, ring, index[mul[e]])
+    return PrincipalIdeal(tuple(elems.tolist()), e, ring, projection)
 
 
 # --- file format -----------------------------------------------------------

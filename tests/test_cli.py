@@ -1,3 +1,5 @@
+import pytest
+
 from meadows import dump_structure, load_structure, zmod_ring
 from meadows.cli import main
 
@@ -293,4 +295,13 @@ class TestPlumbing:
     def test_size_bound_exit_code(self, capsys):
         code, _, err = run(capsys, "table", "gf:2,21")
         assert code == 4
+        assert "bound" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["gf:2,11", "prod:zp:13,zp:13,zp:13,zp:13"]
+    )
+    def test_table_entry_bound_exit_code(self, capsys, spec):
+        # 2048^2 and 28561^2 table entries: refused before any table is built.
+        code, out, err = run(capsys, "table", spec)
+        assert (code, out) == (4, "")
         assert "bound" in err

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from meadows import (
-    MD, DecompositionNotFound, FiniteStructure, MissingInverseTable, NotPrime,
-    SizeOverflow,
+    MAX_TABLE_ENTRIES, MD, DecompositionNotFound, FiniteStructure,
+    Homomorphism, MissingInverseTable, NotPrime, SizeOverflow,
     build_galois_field, build_mdk, build_prime_field, characteristic,
     check_axiom_set, check_equation, classify_minimal, decompose,
     distinct_primes, dump_structure, find_homomorphisms, galois_descriptor,
+    generating_set, idempotents,
     inverse_by_power_cycle, is_meadow, is_minimal, is_prime, is_squarefree,
     is_zt_field, least_irreducible, ln_equation, mdk_descriptor,
-    parse_equation, product, radical, zmod_ring,
+    parse_equation, principal_ideal, product, radical, zmod_ring,
 )
 
 Z2 = build_prime_field(2)
@@ -186,6 +187,70 @@ class TestGaloisFields:
         with pytest.raises(SizeOverflow):
             build_galois_field(2, 21)
 
+    @pytest.mark.parametrize("p, m", [(2, 11), (3, 7), (1031, 1)])
+    def test_table_bound_refuses_before_building(self, p, m):
+        # The bound is on table entries, n*n <= 2**20, and is checked before
+        # the modulus search or any table exists.
+        import tracemalloc
+
+        assert (p**m) ** 2 > MAX_TABLE_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeOverflow, match="bound"):
+                build_galois_field(p, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_table_bound_boundary(self):
+        from meadows.structures import check_table_bound
+
+        check_table_bound(1024, "GF(2^10)")
+        with pytest.raises(SizeOverflow):
+            check_table_bound(1025, "a structure")
+
+    def test_tables_against_sympy_galoistools(self):
+        # Oracle: sympy's dense polynomial arithmetic over Z/p, reducing
+        # modulo least_irreducible (checked against sympy above).  Fields up
+        # to 64 elements are compared in full, larger ones on 2000 seeded
+        # pairs each.
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        rng = random.Random(11)
+        for p in (q for q in range(2, 257) if is_prime(q)):
+            m = 1
+            while p**m <= 256:
+                n = p**m
+                gf = build_galois_field(p, m)
+                modulus = list(reversed(least_irreducible(p, m)))
+
+                def poly(e):
+                    return [(e // p**i) % p for i in reversed(range(m))]
+
+                def code(big_endian):
+                    return sum(c * p**i for i, c in enumerate(reversed(big_endian)))
+
+                if n <= 64:
+                    pairs = [(a, b) for a in range(n) for b in range(n)]
+                else:
+                    pairs = [(rng.randrange(n), rng.randrange(n))
+                             for _ in range(2000)]
+                for a, b in pairs:
+                    fa, fb = poly(a), poly(b)
+                    product_ = gt.gf_rem(gt.gf_mul(fa, fb, p, ZZ), modulus, p, ZZ)
+                    assert gf.mul[a][b] == code(product_), (p, m, a, b)
+                    assert gf.add[a][b] == code(gt.gf_add(fa, fb, p, ZZ)), (p, m, a, b)
+                for a in range(n):
+                    assert code(gt.gf_neg(poly(a), p, ZZ)) == gf.neg[a], (p, m, a)
+                    if a:
+                        one = gt.gf_rem(gt.gf_mul(poly(a), poly(gf.inv[a]), p, ZZ),
+                                        modulus, p, ZZ)
+                        assert one == [1], (p, m, a)
+                assert gf.inv[0] == 0
+                m += 1
+
     def test_not_prime_base(self):
         with pytest.raises(NotPrime):
             build_galois_field(4, 2)
@@ -310,17 +375,74 @@ class TestDecompose:
     def test_components_agree_with_homomorphism_search(
         self, nontrivial_battery, extra
     ):
-        # Oracle: every component is among the homomorphisms that the
-        # generator-propagation search finds into its target, and the
-        # diagonal is a bijection onto the product.
+        # Oracle: for each primitive idempotent e, the first homomorphism the
+        # generator-propagation search finds from the ideal e*s onto the
+        # field of its size, after y |-> e*y; and the diagonal is a
+        # bijection onto the product.
         structures = nontrivial_battery if extra is None else [product(extra)]
         for s in structures:
             result = decompose(s)
-            for h in result.components:
-                assert h in find_homomorphisms(s, h.target), (s.name, h)
+            fields = {h.target.size: h.target for h in result.components}
+            expected = []
+            for e in idempotents(s):
+                if e == s.zero or any(
+                    f not in (s.zero, e) and s.mul[f][e] == f
+                    for f in idempotents(s)
+                ):
+                    continue  # not a primitive idempotent
+                ideal = principal_ideal(s, e)
+                first = find_homomorphisms(
+                    ideal.ring, fields[ideal.ring.size]
+                )[0]
+                expected.append(Homomorphism(
+                    s, first.target,
+                    tuple(first(ideal.projection(y)) for y in range(s.size)),
+                ))
+            expected.sort(key=lambda h: (h.target.size, h.mapping))
+            assert list(result.components) == expected, s.name
             assert sorted(result.diagonal.mapping) == list(
                 range(result.product.size)
             ), s.name
+
+    def test_relabelled_gf256_needs_no_generator_search(self):
+        # GF(2^8) relabelled so that GF(4) comes first, then the rest of
+        # GF(16): its greedy generating set is [2, 4, 16], and a search over
+        # generator images would try 256^3 maps.  Oracle: every isomorphism
+        # onto GF(2^8) is a Frobenius power x |-> x^(2^k) after undoing the
+        # relabelling; decompose keeps the one with the least images of the
+        # generators.
+        import numpy as np
+
+        gf = build_galois_field(2, 8)
+        mul = np.array(gf.mul)
+
+        def frobenius(k):
+            out = np.arange(256)
+            for _ in range(k):
+                out = mul[out, out]
+            return out
+
+        sub4 = [x for x in range(256) if frobenius(2)[x] == x]
+        sub16 = [x for x in range(256) if frobenius(4)[x] == x]
+        order = np.array(
+            sub4 + [x for x in sub16 if x not in sub4]
+            + [x for x in range(256) if x not in sub16]
+        )
+        label = np.empty(256, dtype=int)
+        label[order] = np.arange(256)
+        rows, cols = order[:, None], order[None, :]
+        s = FiniteStructure(
+            "GF(2^8) relabelled", 256, int(label[0]), int(label[1]),
+            label[np.array(gf.add)[rows, cols]], label[mul[rows, cols]],
+            label[np.array(gf.neg)[order]], label[np.array(gf.inv)[order]],
+        )
+        gens = generating_set(s)
+        assert gens == [2, 4, 16]
+        candidates = [tuple(frobenius(k)[order].tolist()) for k in range(8)]
+        want = min(candidates, key=lambda c: [c[g] for g in gens])
+        (component,) = decompose(s).components
+        assert component.target == gf
+        assert component.mapping == want
 
 
 _SMALL_MEADOWS = (Z2, Z3, product([Z2, Z2]), GF4)

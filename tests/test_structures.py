@@ -289,6 +289,39 @@ class TestProduct:
         with pytest.raises(ValueError):
             product([])
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_tables_match_per_entry_oracle(self, battery, arity):
+        # Oracle: every entry through product_index of the factor entries.
+        rng = random.Random(arity)
+        pool = [s for s in battery if s.size <= (13 if arity == 2 else 6)]
+        for _ in range(6):
+            factors = [rng.choice(pool) for _ in range(arity)]
+            sizes = [f.size for f in factors]
+            s = product(factors)
+            coords = [product_coords(i, sizes) for i in range(s.size)]
+
+            def entry(table, a, b):
+                return product_index(
+                    [t[x][y] for t, x, y in zip(table, a, b)], sizes
+                )
+
+            add = tuple(tuple(entry([f.add for f in factors], a, b)
+                              for b in coords) for a in coords)
+            mul = tuple(tuple(entry([f.mul for f in factors], a, b)
+                              for b in coords) for a in coords)
+            neg = tuple(product_index([f.neg[x] for f, x in zip(factors, a)],
+                                      sizes) for a in coords)
+            inv = tuple(product_index([f.inv[x] for f, x in zip(factors, a)],
+                                      sizes) for a in coords)
+            assert (s.add, s.mul, s.neg, s.inv) == (add, mul, neg, inv), [
+                f.name for f in factors
+            ]
+            assert type(s.add[0][0]) is int
+
+    def test_without_inverse_when_a_factor_has_none(self):
+        s = product([Z2, zmod_ring(3)])
+        assert s.inv is None and s.size == 6
+
     def test_products_of_meadows_are_meadows(self, small_battery):
         rng = random.Random(7)
         pool = [s for s in small_battery if s.size <= 7]
@@ -362,6 +395,65 @@ class TestHomomorphisms:
     def test_requires_inverse_tables(self):
         with pytest.raises(MissingInverseTable):
             find_homomorphisms(zmod_ring(6), Z2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_error_matches_scalar_scan(self, small_battery, seed):
+        # Oracle: the element-by-element scan the table check replaced; the
+        # first error it meets is the one construction must raise.
+        def scan(src, tgt, m):
+            if len(m) != src.size or any(not 0 <= v < tgt.size for v in m):
+                return "mapping is not a function into the target carrier"
+            if m[src.zero] != tgt.zero or m[src.one] != tgt.one:
+                return "constants not preserved"
+            for a in range(src.size):
+                if m[src.neg[a]] != tgt.neg[m[a]]:
+                    return f"negation not preserved at {a}"
+                for b in range(src.size):
+                    if m[src.add[a][b]] != tgt.add[m[a]][m[b]]:
+                        return f"addition not preserved at ({a},{b})"
+                    if m[src.mul[a][b]] != tgt.mul[m[a]][m[b]]:
+                        return f"multiplication not preserved at ({a},{b})"
+            if src.inv is not None and tgt.inv is not None:
+                for a in range(src.size):
+                    if m[src.inv[a]] != tgt.inv[m[a]]:
+                        return f"inverse not preserved at {a}"
+            return None
+
+        rng = random.Random(seed)
+        pool = [*small_battery, zmod_ring(4), z4_with_identity_inv()]
+        seen = set()
+        for _ in range(300):
+            src = rng.choice(pool)
+            homs = find_homomorphisms(src, src, require_inv=False)
+            tgt, m = src, list(rng.choice(homs).mapping)
+            if rng.random() < 0.3:
+                tgt = rng.choice(pool)
+                m = [rng.randrange(tgt.size) for _ in range(src.size)]
+            for _ in range(rng.randrange(3)):
+                m[rng.randrange(src.size)] = rng.randrange(tgt.size + 1)
+            try:
+                Homomorphism(src, tgt, tuple(m))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == scan(src, tgt, m), (src.name, tgt.name, m)
+            seen.add(got and got.split(" at ")[0])
+        assert len(seen) >= 5, seen
+
+    def test_mapping_is_stored_as_python_ints(self):
+        import numpy as np
+
+        h = Homomorphism(MD6, Z2, np.array([0, 1, 0, 1, 0, 1], dtype=np.int64))
+        assert h.mapping == (0, 1, 0, 1, 0, 1)
+        assert all(type(v) is int for v in h.mapping)
+
+    @pytest.mark.parametrize(
+        "mapping", [(0, 1), (0, 1, 0, 1, 0, 2), (0, 1, 0, 1, 0, -1),
+                    (0, 1, 0, 1, 0, 2**40), ((0,), 1, 0, 1, 0, 1)],
+    )
+    def test_mapping_outside_target_rejected(self, mapping):
+        with pytest.raises(ValueError, match="^mapping is not a function"):
+            Homomorphism(MD6, Z2, mapping)
 
     def test_ring_maps_into_fields_preserve_inverse(self):
         # Propagating only the ring operations still yields full
@@ -497,6 +589,79 @@ class TestErrorPaths:
             FiniteStructure("bad", 2, 0, 1, ((0,),), ((0, 0), (0, 1)), (0, 1))
         with pytest.raises(ValueError):
             FiniteStructure("bad", 2, 0, 3, Z2.add, Z2.mul, Z2.neg)
+
+
+class TestTableValidation:
+    # Every check of the tables, with the messages it has always raised.
+
+    @pytest.mark.parametrize("add, message", [
+        (((0, 1), (1,)), "add table is not 2x2"),
+        (((0, 1), (1, 0), (0, 1)), "add table is not 2x2"),
+        ((0, 1, 1, 0), "add table is not 2x2"),
+        (((0, 1), (1, 2)), "add table entry outside carrier"),
+        (((0, 1), (1, -1)), "add table entry outside carrier"),
+        (((0, 1), (1, 2**40)), "add table entry outside carrier"),
+    ])
+    def test_add_table(self, add, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteStructure("bad", 2, 0, 1, add, Z2.mul, Z2.neg, Z2.inv)
+
+    @pytest.mark.parametrize("mul, message", [
+        (((0, 0), (0, 1, 1)), "mul table is not 2x2"),
+        (((0, 0),), "mul table is not 2x2"),
+        (((0, 0), (0, 3)), "mul table entry outside carrier"),
+    ])
+    def test_mul_table(self, mul, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteStructure("bad", 2, 0, 1, Z2.add, mul, Z2.neg, Z2.inv)
+
+    @pytest.mark.parametrize("neg, inv, message", [
+        ((0,), None, "neg row is not a map on the carrier"),
+        ((0, 1, 0), None, "neg row is not a map on the carrier"),
+        ((0, 2), None, "neg row is not a map on the carrier"),
+        (((0, 1), (1, 0)), None, "neg row is not a map on the carrier"),
+        ((0, 1), (0, -1), "inv row is not a map on the carrier"),
+        ((0, 1), (0,), "inv row is not a map on the carrier"),
+    ])
+    def test_rows(self, neg, inv, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteStructure("bad", 2, 0, 1, Z2.add, Z2.mul, neg, inv)
+
+    def test_carrier_and_constants(self):
+        with pytest.raises(ValueError, match="^carrier must be non-empty$"):
+            FiniteStructure("bad", 0, 0, 0, (), (), ())
+        with pytest.raises(ValueError, match="^constants outside carrier$"):
+            FiniteStructure("bad", 2, 0, 2, Z2.add, Z2.mul, Z2.neg)
+
+    def test_wide_numpy_entries_are_checked_before_the_cast(self):
+        import numpy as np
+
+        add = np.array(Z2.add, dtype=np.int64)
+        add[1, 1] = 2**32  # would wrap to 0 in int32
+        with pytest.raises(ValueError, match="^add table entry outside"):
+            FiniteStructure("bad", 2, 0, 1, add, Z2.mul, Z2.neg)
+
+    def test_tables_are_stored_as_python_ints(self):
+        import numpy as np
+
+        s = FiniteStructure(
+            "Z_2", 2, 0, 1, np.array(Z2.add), [list(r) for r in Z2.mul],
+            np.array(Z2.neg, dtype=np.int8), (0, True),
+        )
+        assert s == Z2
+        for row in (*s.add, *s.mul, s.neg, s.inv):
+            assert all(type(v) is int for v in row)
+
+    def test_table_views_are_read_only_copies(self):
+        import numpy as np
+
+        add = np.array(Z2.add, dtype=np.int32)
+        s = FiniteStructure("Z_2", 2, 0, 1, add, Z2.mul, Z2.neg, Z2.inv)
+        add[0, 0] = 1
+        view = structures_module._arrays(s)[0]
+        assert view.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError):
+            view[0, 0] = 1
 
 
 class TestFileFormat:
