@@ -5,14 +5,20 @@ formats and front ends, not to the tables.  Structures are immutable after
 construction and all checkers are pure, so everything here can be shared
 freely between threads.
 
-Equation checking is exhaustive.  Every check evaluates the whole
-assignment grid in bulk with numpy over index arrays (a formula without
-variables is a 0-d grid), which keeps full exhaustion over carriers of a
-couple hundred elements well inside interactive budgets.  The checker
-returns the lexicographically least falsifying assignment (variables in
-sorted order), so results are deterministic.  The plain recursive
-``eval_term`` evaluates single points and is the independent oracle the
-checker is tested against.
+Equation checking is exhaustive.  Each formula is compiled once, by one
+iterative walk over its distinct nodes, into a straight-line program of
+table lookups with shared subterms merged and closed subterms folded to
+constants.  The program then runs over the whole assignment grid with
+numpy.  A grid whose arrays fit a fixed byte budget is evaluated at once
+by table indexing over broadcast axes.  A larger one is searched in blocks
+of consecutive values of its first variable: whatever does not use that
+variable is hoisted and evaluated once, and the rest writes into
+preallocated buffers sized so that the block stays under the budget.  So
+the memory of a check stays bounded and carriers of a couple hundred
+elements exhaust well inside interactive budgets.  The checker returns the
+lexicographically least falsifying assignment (variables in sorted order),
+so results are deterministic.  The plain recursive ``eval_term`` evaluates
+single points and is the independent oracle the checker is tested against.
 """
 
 from __future__ import annotations
@@ -45,8 +51,12 @@ __all__ = [
 
 Assignment = dict[str, int]
 
-# Bulk arrays above this many cells are chunked over the first variable.
-_BULK_MAX_CELLS = 200_000_000
+# Bytes of working arrays an exhaustive check may hold at once: the slots
+# of a whole grid, or block cells x peak live slots x itemsize for a grid
+# searched in blocks.  A block this size stays near the cache: of 1, 2, 4
+# and 8 MB, 2 MB exhausted the MD laws on every squarefree Md_k <= 210
+# fastest.
+_BLOCK_BYTES = 1 << 21
 
 # Constructors that build whole tables at once refuse a structure whose
 # binary tables would hold more entries than this (a 1024-element carrier).
@@ -187,117 +197,276 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
         del rec
 
 
-def _bulk_eval(t, s, axes, scalars, memo):
-    # Evaluate over the whole assignment grid at once.  Each variable gets
-    # its own broadcast axis (in `axes` order), already-fixed variables come
-    # in through `scalars`.  memo is keyed by node identity; the encoding
-    # helpers share subterm objects, so this collapses their duplication.
-    add, mul, neg, inv = _arrays(s)
+# A formula is compiled to straight-line code over slots.  Each slot is
+# (op, a, b): a constant (value), a variable (name), neg or inv of slot a,
+# or add or mul of slots a and b.  The binary and unary codes index the
+# tables in the order _arrays returns them.
+_ADD, _MUL, _NEG, _INV, _VAR, _CONST = range(6)
 
-    def rec(node):
-        key = id(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        match node:
-            case Zero():
-                arr = np.int32(s.zero)
-            case One():
-                arr = np.int32(s.one)
-            case Var(name):
-                if name in scalars:
-                    arr = np.int32(scalars[name])
-                else:
-                    k = axes.index(name)
-                    shape = [1] * len(axes)
-                    shape[k] = s.size
-                    arr = np.arange(s.size, dtype=np.int32).reshape(shape)
-            case Neg(arg):
-                arr = neg[rec(arg)]
-            case Inv(arg):
-                arr = inv[rec(arg)]
-            case Add(l, r):
-                arr = add[rec(l), rec(r)]
-            case Mul(l, r):
-                arr = mul[rec(l), rec(r)]
-            case _:  # pragma: no cover
+
+def _compile(s, terms):
+    """Compile terms into one program: (ops, uses, names, roots, cells).
+
+    One iterative walk visits each distinct node once, memoised by id, so
+    shared subterms cost nothing and no tree is hashed or recursed into.
+    Each slot is hash-consed on (op, child slots), and closed subterms fold
+    to constants through the tables.  ``uses[i]`` is the bit mask of the
+    variables of slot i, bit d for ``names[d]``, the d-th variable met; it
+    is 0 exactly for constants.  ``roots`` holds the slot of each term and
+    ``cells`` the grid cells all slots would fill when broadcast.  Meeting
+    ^-1 on a structure without an inverse table raises MissingInverseTable
+    before anything is evaluated.
+    """
+    n = s.size
+    tables = (s.add, s.mul, s.neg, s.inv)
+    ops, uses, names = [], [], []
+    consed, memo = {}, {}
+    cells = 0
+    for root in terms:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            cls = type(node)
+            if cls is Add or cls is Mul:
+                a = memo.get(id(node.left))
+                b = memo.get(id(node.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(node.right)
+                    if a is None:
+                        stack.append(node.left)
+                    continue
+                op, mask = (_ADD if cls is Add else _MUL), uses[a] | uses[b]
+            elif cls is Neg or cls is Inv:
+                if cls is Inv and s.inv is None:
+                    raise MissingInverseTable(
+                        f"{s.name} has no inverse table but the term uses ^-1"
+                    )
+                a = memo.get(id(node.arg))
+                if a is None:
+                    stack.append(node.arg)
+                    continue
+                op, b, mask = (_NEG if cls is Neg else _INV), None, uses[a]
+            elif cls is Var:
+                op, a, b, mask = _VAR, node.name, None, 1 << len(names)
+            elif cls is Zero or cls is One:
+                op, a, b, mask = _CONST, s.zero if cls is Zero else s.one, None, 0
+            else:  # pragma: no cover
                 raise TypeError(f"not a term: {node!r}")
-        memo[key] = (node, arr)
-        return arr
-
-    # Break the cycle through rec so the memo is freed without the collector.
-    try:
-        return rec(t)
-    finally:
-        del rec
-
-
-def _uses_inv(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        match stack.pop():
-            case Inv():
-                return True
-            case Neg(a):
-                stack.append(a)
-            case Add(l, r) | Mul(l, r):
-                stack += (l, r)
-    return False
+            stack.pop()
+            if not mask and op < _VAR:
+                row = tables[op][ops[a][1]]
+                a = row if b is None else row[ops[b][1]]
+                op, b = _CONST, None
+            key = (op, a, b)
+            slot = consed.get(key)
+            if slot is None:
+                slot = consed[key] = len(ops)
+                ops.append(key)
+                uses.append(mask)
+                if op == _VAR:
+                    names.append(a)
+                if mask:
+                    cells += n ** mask.bit_count()
+            memo[id(node)] = slot
+    return ops, uses, names, [memo[id(t)] for t in terms], cells
 
 
-def _find_falsifier(s, premises, conclusion, variables, scalars):
+def _broadcast_eval(s, ops, uses, skip, free, fixed):
+    """The slots that use no variable in the mask `skip`, by table indexing
+    over broadcast axes: variable free[i] runs along axis i of len(free),
+    and fixed maps pinned variables to values.  Other slots stay None."""
+    arrays = _arrays(s)
+    n = s.size
+    vals = [None] * len(ops)
+    for i, (op, a, b) in enumerate(ops):
+        if uses[i] & skip:
+            continue
+        if op < _NEG:
+            v = arrays[op][vals[a], vals[b]]
+        elif op < _VAR:
+            v = arrays[op][vals[a]]
+        elif op == _CONST:
+            v = a
+        else:
+            v = fixed.get(a)
+            if v is None:
+                shape = [1] * len(free)
+                shape[free.index(a)] = n
+                v = np.arange(n, dtype=np.int32).reshape(shape)
+        vals[i] = v
+    return vals
+
+
+def _plan(ops, uses, hbit, tests):
+    """The steps of one block: (op, a, b, slot, buffer) for every slot that
+    uses the head bit hbit, in order, and the number of buffers.  Each slot
+    but the head variable writes into a buffer that is free again after
+    the slot's last use; tested slots live to the end of the block."""
+    block = [i for i, mask in enumerate(uses) if mask & hbit]
+    last = {}
+    for pos, i in enumerate(block):
+        op, a, b = ops[i]
+        if op < _VAR:
+            last[a] = pos
+        if op < _NEG:
+            last[b] = pos
+    for _, left, right in tests:
+        last[left] = last[right] = len(block)
+    buffer_of, free, plan = {}, [], []
+    count = 0
+    for pos, i in enumerate(block):
+        op, a, b = ops[i]
+        out = None
+        if op != _VAR:
+            if free:
+                out = free.pop()
+            else:
+                out, count = count, count + 1
+            buffer_of[i] = out
+            for child in (a, b) if op < _NEG else (a,):
+                if last.get(child) == pos and child in buffer_of:
+                    free.append(buffer_of.pop(child))
+        plan.append((op, a, b, i, out))
+    return plan, count
+
+
+def _search_blocks(s, ops, uses, names, tests):
+    """The least falsifier of a compiled formula, or None, block by block.
+
+    With the variables in sorted order, a prefix of them is pinned, value
+    by value, and the next one, the head, runs in blocks of consecutive
+    values; pins and blocks both ascend, so the first block with a
+    falsifier holds the least one.  The prefix is the shortest one for
+    which one head value fits _BLOCK_BYTES, and a block holds as many head
+    values as keep block cells x peak live slots x itemsize under it.
+    Every slot without the head is evaluated once per pin, before the
+    blocks.  The others write into int32 buffers allocated once, each
+    viewed in the shape of its slot's own variables.
+    """
+    n = s.size
+    order = sorted(names)
+    bits = {v: 1 << d for d, v in enumerate(names)}
+    index_type = np.int32 if n * n <= 2**31 else np.int64
+    for depth, head in enumerate(order):
+        rest = order[depth + 1:]
+        hbit = bits[head]
+        rest_bits = sum(bits[v] for v in rest)
+        plan, count = _plan(ops, uses, hbit, tests)
+        hoisted = sum(1 for mask in uses if mask & rest_bits and not mask & hbit)
+        # Bytes per head value: the int32 buffers and hoisted arrays, the
+        # two index buffers and the two masks.
+        per_value = n ** len(rest) * (
+            4 * (count + hoisted) + 2 * np.dtype(index_type).itemsize + 2
+        )
+        if per_value <= _BLOCK_BYTES:
+            break
+    width = min(n, max(1, _BLOCK_BYTES // per_value))
+    cells = width * n ** len(rest)
+    buffers = [np.empty(cells, np.int32) for _ in range(count)]
+    index, scaled = np.empty(cells, index_type), np.empty(cells, index_type)
+    full = (width,) + (n,) * len(rest)
+    masks = np.empty(full, bool), np.empty(full, bool)
+
+    def view(buffer, mask, m):
+        # The prefix of a buffer in the shape of the variables in mask.
+        shape = (m if mask & hbit else 1,) + tuple(
+            n if mask & bits[v] else 1 for v in rest
+        )
+        return buffer[: math.prod(shape)].reshape(shape)
+
+    def views(m):
+        # Per step: its output, its index, and the left operand times n.
+        return [
+            None if k is None else (
+                view(buffers[k], uses[i], m), view(index, uses[i], m),
+                view(scaled, uses[a], m) if op < _NEG else None,
+            )
+            for op, a, b, i, k in plan
+        ]
+
+    steps = {m: views(m) for m in {width, n % width or width}}
+    arrays = _arrays(s)
+    flat = (arrays[_ADD].ravel(), arrays[_MUL].ravel())
+    for pins in itertools.product(range(n), repeat=depth):
+        fixed = dict(zip(order, pins))
+        vals = _broadcast_eval(s, ops, uses, hbit, rest, fixed)
+        for start in range(0, n, width):
+            m = min(width, n - start)
+            head_values = np.arange(start, start + m, dtype=np.int32).reshape(
+                (m,) + (1,) * len(rest)
+            )
+            # mode="clip" writes straight into out; the default mode buffers
+            # out to raise on a bad index, and no index here is out of range.
+            for (op, a, b, i, _), step in zip(plan, steps[m]):
+                if op < _NEG:
+                    out, ix, left = step
+                    np.multiply(vals[a], n, out=left, dtype=index_type)
+                    np.add(left, vals[b], out=ix)
+                    vals[i] = np.take(flat[op], ix, out=out, mode="clip")
+                elif op < _VAR:
+                    vals[i] = np.take(arrays[op], vals[a], out=step[0], mode="clip")
+                else:
+                    vals[i] = head_values
+            bad, holds = masks[0][:m], masks[1][:m]
+            test, left, right = tests[0]
+            test(vals[left], vals[right], out=bad)
+            for test, left, right in tests[1:]:
+                test(vals[left], vals[right], out=holds)
+                bad &= holds
+            if bad.any():
+                cell = np.unravel_index(int(bad.argmax()), bad.shape)
+                found = {**fixed, head: start + int(cell[0])}
+                found.update(zip(rest, map(int, cell[1:])))
+                return {v: found[v] for v in order}
+    return None
+
+
+def _find_falsifier(s, premises, conclusion):
     """Least assignment satisfying all premises but not the conclusion.
 
-    Returns None when no such assignment exists.  `variables` is the sorted
-    variable list fixing the lexicographic order; `scalars` pins a prefix of
-    them (used when chunking large grids).  A formula using ^-1 on a
-    structure without an inverse table raises before anything is evaluated,
-    whichever atoms the grid would have needed.
+    Returns None when no such assignment exists.  Variables are ordered by
+    name, which fixes the lexicographic order.  The formula is compiled
+    once (_compile); a grid whose slots all fit _BLOCK_BYTES is evaluated
+    whole by table indexing over broadcast axes, and a larger one block by
+    block (_search_blocks).
     """
-    if s.inv is None and any(
-        _uses_inv(a.lhs) or _uses_inv(a.rhs) for a in (*premises, conclusion)
-    ):
-        raise MissingInverseTable(
-            f"{s.name} has no inverse table but the term uses ^-1"
-        )
-    free = [v for v in variables if v not in scalars]
-    if s.size ** len(free) > _BULK_MAX_CELLS:
-        head = free[0]
-        for value in range(s.size):
-            inner = dict(scalars)
-            inner[head] = value
-            found = _find_falsifier(s, premises, conclusion, variables, inner)
-            if found is not None:
-                return found
-        return None
+    atoms = (conclusion, *premises)
+    ops, uses, names, roots, cells = _compile(
+        s, [side for atom in atoms for side in (atom.lhs, atom.rhs)]
+    )
+    # tests[0] marks where the conclusion fails, the others where a premise
+    # holds; the falsifiers are where every test is true.
+    tests = [
+        (np.not_equal if isinstance(conclusion, Equation) else np.equal, *roots[:2])
+    ]
+    for k, p in enumerate(premises, 1):
+        test = np.equal if isinstance(p, Equation) else np.not_equal
+        tests.append((test, roots[2 * k], roots[2 * k + 1]))
+    order = sorted(names)
+    # The int32 slots and two boolean masks over the grid.
+    if order and 4 * cells + 2 * s.size ** len(order) > _BLOCK_BYTES:
+        return _search_blocks(s, ops, uses, names, tests)
 
-    memo: dict = {}
-    shape = (s.size,) * len(free)
-
-    def atom_mask(atom):
-        lhs = _bulk_eval(atom.lhs, s, free, scalars, memo)
-        rhs = _bulk_eval(atom.rhs, s, free, scalars, memo)
-        same = lhs == rhs
-        return same if isinstance(atom, Equation) else ~same
-
-    bad = ~atom_mask(conclusion)
-    for p in premises:
+    vals = _broadcast_eval(s, ops, uses, 0, order, {})
+    test, left, right = tests[0]
+    bad = test(vals[left], vals[right])
+    for test, left, right in tests[1:]:
         if not bad.any():
             return None
-        bad = bad & atom_mask(p)
+        bad = bad & test(vals[left], vals[right])
     if not bad.any():
         return None
-    bad = np.broadcast_to(bad, shape)
-    first = np.argwhere(bad)[0]
-    out = dict(scalars)
-    out.update({v: int(i) for v, i in zip(free, first)})
-    return {v: out[v] for v in variables}
+    first = np.argwhere(np.broadcast_to(bad, (s.size,) * len(order)))[0]
+    return dict(zip(order, map(int, first)))
 
 
 def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:
     """Decide whether lhs = rhs holds under every assignment, by exhaustion."""
-    variables = sorted(eq.variables())
-    witness = _find_falsifier(s, (), eq, variables, {})
+    witness = _find_falsifier(s, (), eq)
     return Verdict(witness is None, witness)
 
 
@@ -312,10 +481,7 @@ def check_conditional(
     """
     if isinstance(formula, Equation):
         formula = ConditionalEquation((), formula)
-    variables = sorted(formula.variables())
-    witness = _find_falsifier(
-        s, formula.premises, formula.conclusion, variables, {}
-    )
+    witness = _find_falsifier(s, formula.premises, formula.conclusion)
     return Verdict(witness is None, witness)
 
 

@@ -96,11 +96,19 @@ def numeral(k: int) -> Term:
 
 
 def free_vars(t: Term) -> set[str]:
-    """The set of variable names occurring in t."""
+    """The set of variable names occurring in t.
+
+    Each distinct node object is visited once, so a term that shares its
+    subterms (as the encodings do) costs its size as a graph, not as a tree.
+    """
     out: set[str] = set()
+    seen: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         match node:
             case Var(name):
                 out.add(name)
@@ -157,6 +165,12 @@ def term_size(t: Term) -> int:
 # equations can reuse it.
 
 Token = tuple[str, str, int]  # kind, text, position
+
+# The deepest nesting of parentheses, inv( and unary minus signs accepted.
+# Each level costs the parser up to six interpreter frames, so a deeper
+# input would exhaust the stack; no formula written or encoded here nests
+# half this deep.
+_MAX_NESTING = 100
 
 
 def tokenize(src: str) -> list[Token]:
@@ -219,6 +233,13 @@ class Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+
+    def nest(self, pos: int) -> None:
+        """Enter one more level of nesting; leave it by decrementing depth."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nested more than {_MAX_NESTING} levels deep", pos)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -278,9 +299,13 @@ def _prod(cur: Cursor) -> Term:
 
 
 def _unary(cur: Cursor) -> Term:
-    if cur.match("-"):
-        return Neg(_unary(cur))
-    return _postfix(cur)
+    tok = cur.match("-")
+    if tok is None:
+        return _postfix(cur)
+    cur.nest(tok[2])
+    t = Neg(_unary(cur))
+    cur.depth -= 1
+    return t
 
 
 def _postfix(cur: Cursor) -> Term:
@@ -298,16 +323,21 @@ def _atom(cur: Cursor) -> Term:
     if kind == "ident":
         if text == "inv":
             cur.expect("(")
-            t = parse_expr(cur)
-            cur.expect(")")
-            return Inv(t)
+            return Inv(_nested(cur, pos))
         return Var(text)
     if kind == "(":
-        t = parse_expr(cur)
-        cur.expect(")")
-        return t
+        return _nested(cur, pos)
     shown = text or "end of input"
     raise ParseError(f"expected a term, found {shown!r}", pos)
+
+
+def _nested(cur: Cursor, pos: int) -> Term:
+    # The expression inside an opened parenthesis, and its closing one.
+    cur.nest(pos)
+    t = parse_expr(cur)
+    cur.expect(")")
+    cur.depth -= 1
+    return t
 
 
 def parse_term(src: str) -> Term:

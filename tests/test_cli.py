@@ -45,6 +45,17 @@ class TestEval:
         )
         assert (code, out) == (0, "6\n")
 
+    @pytest.mark.parametrize(
+        "term", ["(" * 600 + "x" + ")" * 600, "-" * 3000 + "x"],
+        ids=["parentheses", "minus-signs"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, capsys, term):
+        code, out, err = run(
+            capsys, "eval", "--model", "zp:7", "--assign", "x=1", "--", term
+        )
+        assert (code, out) == (2, "")
+        assert "nested more than" in err
+
     def test_bad_model_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "1", "--model", "zp:9")
         assert code == 2
@@ -78,6 +89,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "x*x^-1=1", "--model", "mdk:6")
         assert code == 1
         assert "Md_6\tinvalid\tx=0" in out
+
+    def test_long_decimal_literal(self, capsys):
+        # 1500 is a chain of 1500 additions; it folds to 1500 mod 6 = 0.
+        code, out, _ = run(capsys, "check", "1500 = 2", "--model", "mdk:6")
+        assert (code, out) == (
+            1,
+            "Md_6\tinvalid\t{}\n"
+            "# fields: valid\tmeadows: invalid\tagree: no\n",
+        )
 
     def test_rational_model_row(self, capsys):
         code, out, _ = run(

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import meadows.structures as structures_module
@@ -18,7 +20,7 @@ from meadows import (
     parse_conditional, satisfies_iel, subalgebra_generated, unit_of, zmod_ring,
 )
 from meadows.logic import ConditionalEquation, Equation
-from meadows.terms import Add, Inv, Mul, Neg, Var
+from meadows.terms import Add, Inv, Mul, Neg, Var, term_size
 
 MD6 = build_mdk(6)
 Z2 = build_prime_field(2)
@@ -134,13 +136,89 @@ class TestCheckEquation:
                 assert check_conditional(s, formula) == brute_force(s, formula)
 
     def test_chunked_route_agrees(self, monkeypatch):
-        # 10 cells forces chunks over x and then y on Md_6.
-        monkeypatch.setattr(structures_module, "_BULK_MAX_CELLS", 10)
-        for eq in (
+        # Byte budgets from 1 up force the block route on Md_10, and a spy
+        # on np.arange records each block as the range of its head values.
+        blocks = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arange(self, *args, **kwargs):
+                if len(args) == 2:
+                    blocks.append(args)
+                return np.arange(*args, **kwargs)
+
+        monkeypatch.setattr(structures_module, "np", Spy())
+        md10 = build_mdk(10)
+        formulas = [
             parse_equation("x*(y+z) = x*y+x*y"),  # fails somewhere
             MD["distrib"],
-        ):
-            assert check_equation(MD6, eq) == brute_force(MD6, eq)
+            # premises without x, the first variable, are hoisted
+            parse_conditional("y*y = y -> x*y = y*x"),
+            parse_conditional("y*y = y & z = 1 -> x*y = x"),
+            parse_conditional("x = -1 -> y = y+1"),  # fails at x = 9 only
+            # x*y is read again after other buffers are taken, and the
+            # tested x*y after its last use as an operand
+            parse_equation("x*y + (x+z)*(x*y) = (x*y)*(1+x+z)"),
+            parse_equation("x*y = x*y*(x*y)^-1*(x*y) + (x+y+z)*0"),
+            parse_equation("(1+1)*(1+1)^-1 = 1"),  # closed
+        ]
+        seen = set()
+        for formula in formulas:
+            expected = brute_force(md10, formula)
+            for budget in (1, *range(100, 12001, 100)):
+                monkeypatch.setattr(structures_module, "_BLOCK_BYTES", budget)
+                blocks.clear()
+                assert check_conditional(md10, formula) == expected, (formula, budget)
+                if not blocks:
+                    continue
+                widths = {stop - start for start, stop in blocks}
+                seen.add("one value" if widths == {1} else "several values")
+                if any(10 % w for w in widths):
+                    seen.add("width not dividing n")
+                if [start for start, _ in blocks].count(0) > 1:
+                    seen.add("pinned")  # x pinned, blocks over y or z
+                elif expected.witness and expected.witness.get("x") == 9:
+                    assert blocks[-1][0] <= 9 < blocks[-1][1] == 10
+                    seen.add("witness in last block")
+        assert seen == {
+            "pinned", "one value", "several values", "width not dividing n",
+            "witness in last block",
+        }
+
+    def test_shared_term_is_compiled_once(self):
+        # x doubled 40 times: 41 distinct nodes, 2^41 as a tree, so the
+        # terms stay out of the asserts, whose messages would print them.
+        t = Var("x")
+        for _ in range(40):
+            t = Add(t, t)
+        same = check_equation(Z5, Equation(t, t))
+        assert same == Verdict(True, None)
+        # 2^40 is 1 mod 5 and 2 mod 7.
+        on_z5 = check_equation(Z5, Equation(t, Var("x")))
+        on_z7 = check_equation(Z7, Equation(t, Var("x")))
+        assert on_z5 == Verdict(True, None)
+        assert on_z7 == Verdict(False, {"x": 1})
+
+    def test_large_grid_memory_is_bounded(self):
+        # 4 variables on Md_42: 3.1 M cells, searched in blocks under a few
+        # MB where whole-grid arrays of each subterm take over 170 MB.
+        eq = parse_equation(
+            "((w+x)*(y+z))*((w*y)^-1 + x*z)"
+            " - (w*y + w*z + x*y + x*z)*(x*z + y^-1*w^-1)"
+            " = (w*x*y*z)*((w*x)^-1*(y*z)^-1) - (x*w*z*y)^-1*(z*y*x*w)"
+        )
+        assert term_size(eq.lhs) + term_size(eq.rhs) >= 50
+        md42 = build_mdk(42)
+        tracemalloc.start()
+        try:
+            verdict = check_equation(md42, eq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 50 * 2**20
 
     @pytest.mark.parametrize(
         "check", [brute_force, check_equation], ids=["scalar", "bulk"]
