@@ -36,8 +36,9 @@ from .structures import (
     MAX_TABLE_ENTRIES, Assignment, FiniteStructure, Homomorphism,
     PrincipalIdeal, Verdict,
     characteristic, check_axiom_set, check_conditional, check_equation,
-    dump_structure, eval_term, find_homomorphisms, generating_set,
-    idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
+    dump_structure, eval_term, field_factors, find_homomorphisms,
+    generating_set, idempotents, is_meadow, is_minimal, is_nontrivial,
+    is_zt_field,
     load_structure, principal_ideal, product, product_coords, product_index,
     satisfies_iel, subalgebra_generated, unit_of,
 )

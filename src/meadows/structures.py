@@ -19,6 +19,20 @@ elements exhaust well inside interactive budgets.  The checker returns the
 lexicographically least falsifying assignment (variables in sorted order),
 so results are deterministic.  The plain recursive ``eval_term`` evaluates
 single points and is the independent oracle the checker is tested against.
+
+An equation or a quasi-identity (a conditional whose premises are all
+equations) whose grid is too large to evaluate whole is first decided on
+the field factors of the structure.  A finite meadow is a product of
+finite zero-totalized fields, and ``decompose`` validates that: its
+diagonal is an injective homomorphism, inverse included, into the product
+of its factors.  Such formulas are preserved by products and by
+substructures, so one that holds on every factor holds on the structure,
+and a few small grids replace one large one.  When a factor fails, the
+formula has a disequation, or the structure does not decompose, the grid
+of the structure itself is searched, so verdicts and least witnesses are
+those of the grid.  The factors are computed on first use and kept on the
+structure; writing them onto an immutable structure is idempotent, as
+every computation gives the same factors.
 """
 
 from __future__ import annotations
@@ -31,8 +45,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    FormatError, MissingInverseTable, NoFiniteCharacteristic, NotAMeadow,
-    SearchBoundExceeded, SizeOverflow, UnboundVariable,
+    FormatError, MeadowError, MissingInverseTable, NoFiniteCharacteristic,
+    NotAMeadow, SearchBoundExceeded, SizeOverflow, UnboundVariable,
 )
 from .logic import CR, MD, ZIL, GIL, SEP, ConditionalEquation, Equation
 from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
@@ -41,6 +55,7 @@ __all__ = [
     "Assignment", "Verdict", "FiniteStructure", "Homomorphism",
     "PrincipalIdeal",
     "eval_term", "check_equation", "check_conditional", "check_axiom_set",
+    "field_factors",
     "is_meadow", "is_nontrivial", "is_zt_field", "satisfies_iel",
     "MAX_TABLE_ENTRIES", "check_table_bound",
     "characteristic", "product", "product_index", "product_coords",
@@ -425,14 +440,38 @@ def _search_blocks(s, ops, uses, names, tests):
     return None
 
 
-def _find_falsifier(s, premises, conclusion):
+def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
+    """The distinct canonical field factors of s, one per name, on which
+    the checker decides equations and quasi-identities over large grids of
+    s; () when it searches the grid of s itself, because s has fewer than
+    two field components or decompose refuses it.  Computed once per
+    structure and kept on it."""
+    factors = s.__dict__.get("_factors")
+    if factors is None:
+        components = ()
+        # A meadow with c field components has 2^c idempotents.
+        if len(idempotents(s)) > 2:
+            from .finite_meadows import decompose  # it imports this module
+
+            try:
+                components = decompose(s).components
+            except (MeadowError, ValueError):
+                pass
+        factors = tuple({h.target.name: h.target for h in components}.values())
+        object.__setattr__(s, "_factors", factors)
+    return factors
+
+
+def _find_falsifier(s, premises, conclusion, certify=True):
     """Least assignment satisfying all premises but not the conclusion.
 
     Returns None when no such assignment exists.  Variables are ordered by
     name, which fixes the lexicographic order.  The formula is compiled
     once (_compile); a grid whose slots all fit _BLOCK_BYTES is evaluated
-    whole by table indexing over broadcast axes, and a larger one block by
-    block (_search_blocks).
+    whole by table indexing over broadcast axes.  A larger one holds when
+    certify is set, every atom is an equation and the formula holds on
+    every field factor of s, each decided on its own grid; otherwise it is
+    searched block by block (_search_blocks).
     """
     atoms = (conclusion, *premises)
     ops, uses, names, roots, cells = _compile(
@@ -449,6 +488,13 @@ def _find_falsifier(s, premises, conclusion):
     order = sorted(names)
     # The int32 slots and two boolean masks over the grid.
     if order and 4 * cells + 2 * s.size ** len(order) > _BLOCK_BYTES:
+        if certify and all(isinstance(atom, Equation) for atom in atoms):
+            factors = field_factors(s)
+            if factors and all(
+                _find_falsifier(f, premises, conclusion, False) is None
+                for f in factors
+            ):
+                return None
         return _search_blocks(s, ops, uses, names, tests)
 
     vals = _broadcast_eval(s, ops, uses, 0, order, {})

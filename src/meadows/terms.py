@@ -166,10 +166,11 @@ def term_size(t: Term) -> int:
 
 Token = tuple[str, str, int]  # kind, text, position
 
-# The deepest nesting of parentheses, inv( and unary minus signs accepted.
-# Each level costs the parser up to six interpreter frames, so a deeper
-# input would exhaust the stack; no formula written or encoded here nests
-# half this deep.
+# The deepest nesting of parentheses, inv(, unary minus signs and postfix
+# ^-1 accepted, counted along each path into the term.  Each level costs the
+# parser up to six interpreter frames, and each ^-1 one frame of eval_term
+# and print_term, so a deeper input would exhaust the stack; no formula
+# written or encoded here nests half this deep.
 _MAX_NESTING = 100
 
 
@@ -233,13 +234,18 @@ class Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.depth = 0
+        self.depth = 0  # levels open around the current token
+        self.peak = 0  # the deepest level reached inside the current atom
 
     def nest(self, pos: int) -> None:
         """Enter one more level of nesting; leave it by decrementing depth."""
         self.depth += 1
-        if self.depth > _MAX_NESTING:
+        self.reach(self.depth, pos)
+
+    def reach(self, level: int, pos: int) -> None:
+        if level > _MAX_NESTING:
             raise ParseError(f"nested more than {_MAX_NESTING} levels deep", pos)
+        self.peak = max(self.peak, level)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -309,9 +315,13 @@ def _unary(cur: Cursor) -> Term:
 
 
 def _postfix(cur: Cursor) -> Term:
+    # Each ^-1 puts the whole atom, and so its deepest level, one level down.
+    outer, cur.peak = cur.peak, cur.depth
     t = _atom(cur)
-    while cur.match("^-1"):
+    while tok := cur.match("^-1"):
+        cur.reach(cur.peak + 1, tok[2])
         t = Inv(t)
+    cur.peak = max(outer, cur.peak)
     return t
 
 

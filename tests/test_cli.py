@@ -46,8 +46,9 @@ class TestEval:
         assert (code, out) == (0, "6\n")
 
     @pytest.mark.parametrize(
-        "term", ["(" * 600 + "x" + ")" * 600, "-" * 3000 + "x"],
-        ids=["parentheses", "minus-signs"],
+        "term",
+        ["(" * 600 + "x" + ")" * 600, "-" * 3000 + "x", "x" + "^-1" * 3000],
+        ids=["parentheses", "minus-signs", "inverses"],
     )
     def test_deep_nesting_is_a_parse_error(self, capsys, term):
         code, out, err = run(

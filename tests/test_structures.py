@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -9,15 +10,17 @@ import pytest
 import meadows.structures as structures_module
 from meadows import (
     DERIVED_IDENTITIES, GIL, MD, SIP,
-    FiniteStructure, FormatError, Homomorphism, MissingInverseTable,
-    UnboundVariable, Verdict,
+    DecompositionNotFound, FiniteStructure, FormatError, Homomorphism,
+    MissingInverseTable, UnboundVariable, Verdict,
     build_mdk, build_prime_field,
     characteristic, check_axiom_set, check_conditional, check_equation,
-    dump_structure, eval_term, find_homomorphisms, generating_set,
+    decompose, dump_structure, eval_term, field_factors, find_homomorphisms,
+    generating_set,
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
     load_structure, local_unit, numeral, parse_equation, parse_term,
     principal_ideal, product, product_coords, product_index,
-    parse_conditional, satisfies_iel, subalgebra_generated, unit_of, zmod_ring,
+    parse_conditional, random_conditional, satisfies_iel, subalgebra_generated,
+    unit_of, zmod_ring,
 )
 from meadows.logic import ConditionalEquation, Equation
 from meadows.terms import Add, Inv, Mul, Neg, Var, term_size
@@ -55,6 +58,11 @@ def z4_with_identity_inv():
     return FiniteStructure(
         "Z/4+id", 4, 0, 1, ring.add, ring.mul, ring.neg, (0, 1, 2, 3)
     )
+
+
+def without_certificate(monkeypatch):
+    """Decide every formula on the grid of the structure itself."""
+    monkeypatch.setattr(structures_module, "field_factors", lambda s: ())
 
 
 class TestEval:
@@ -150,6 +158,7 @@ class TestCheckEquation:
                 return np.arange(*args, **kwargs)
 
         monkeypatch.setattr(structures_module, "np", Spy())
+        without_certificate(monkeypatch)
         md10 = build_mdk(10)
         formulas = [
             parse_equation("x*(y+z) = x*y+x*y"),  # fails somewhere
@@ -201,9 +210,10 @@ class TestCheckEquation:
         assert on_z5 == Verdict(True, None)
         assert on_z7 == Verdict(False, {"x": 1})
 
-    def test_large_grid_memory_is_bounded(self):
+    def test_large_grid_memory_is_bounded(self, monkeypatch):
         # 4 variables on Md_42: 3.1 M cells, searched in blocks under a few
         # MB where whole-grid arrays of each subterm take over 170 MB.
+        without_certificate(monkeypatch)
         eq = parse_equation(
             "((w+x)*(y+z))*((w*y)^-1 + x*z)"
             " - (w*y + w*z + x*y + x*z)*(x*z + y^-1*w^-1)"
@@ -244,6 +254,153 @@ class TestCheckEquation:
         # evaluates premises where needed would never reach the inverse.
         with pytest.raises(MissingInverseTable):
             check_conditional(zmod_ring(k), parse_conditional(text))
+
+
+class TestFieldFactors:
+    """Equations and quasi-identities over grids too large to evaluate whole
+    are first decided on the field factors of the structure."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Check a formula twice: with the certificate, under a budget that
+        sends the grid of the structure to the block search, and on the
+        grid alone at the default budget.  Returns both verdicts and
+        whether the certificate decided the first."""
+        gated, searched = [], []
+        lookup = structures_module.field_factors
+        search = structures_module._search_blocks
+
+        def lookup_spy(s):
+            gated.append(s)
+            return lookup(s)
+
+        def search_spy(s, *args):
+            searched.append(s)
+            return search(s, *args)
+
+        monkeypatch.setattr(structures_module, "field_factors", lookup_spy)
+        monkeypatch.setattr(structures_module, "_search_blocks", search_spy)
+
+        def check(s, formula):
+            if isinstance(formula, Equation):
+                formula = ConditionalEquation((), formula)
+            # Under the 6*n^v bytes of the head slot and the two masks, and
+            # still blocks of several values on the larger carriers.
+            budget = 4 * s.size ** max(len(formula.variables()) - 1, 0)
+            gated.clear()
+            searched.clear()
+            with monkeypatch.context() as m:
+                m.setattr(structures_module, "_BLOCK_BYTES", budget)
+                certified = check_conditional(s, formula)
+            by_factors = any(t is s for t in gated) and not any(
+                t is s for t in searched
+            )
+            with monkeypatch.context() as m:
+                without_certificate(m)
+                grid = check_conditional(s, formula)
+            return certified, grid, by_factors
+
+        return check
+
+    @pytest.fixture(scope="class")
+    def structures(self, battery):
+        extra = [build_mdk(k) for k in (30, 42, 66, 70, 105)]
+        names = {s.name for s in battery}
+        return (*battery, *(s for s in extra if s.name not in names))
+
+    def test_factors_of_composites_and_fields(self, structures):
+        md210 = build_mdk(210)
+        assert [f.name for f in field_factors(md210)] == ["Z_2", "Z_3", "Z_5", "Z_7"]
+        assert field_factors(md210) is field_factors(md210)
+        by_name = {s.name: s for s in structures}
+        for name, factors in [
+            ("Md_1", []), ("Z_13", []), ("GF(3^2)", []), ("sub((Z_3 x Z_3))", []),
+            ("Md_66", ["Z_2", "Z_3", "Z_11"]), ("(Z_2 x Z_2 x Z_2)", ["Z_2"]),
+            ("(GF(2^2) x Z_3)", ["Z_3", "GF(2^2)"]),
+        ]:
+            assert [f.name for f in field_factors(by_name[name])] == factors, name
+        assert field_factors(zmod_ring(6)) == ()  # no inverse table
+
+    def test_replaced_structure_carries_no_factors(self):
+        md30 = build_mdk(30)
+        assert len(field_factors(md30)) == 3
+        ring = dataclasses.replace(md30, inv=None)
+        assert "_factors" not in vars(ring)
+        assert field_factors(ring) == ()
+        assert "_factors" not in vars(dataclasses.replace(md30))
+
+    @pytest.mark.parametrize(
+        "laws", [MD, SIP, DERIVED_IDENTITIES, {"GIL": GIL}],
+        ids=["MD", "SIP", "derived", "GIL"],
+    )
+    def test_laws_agree_with_the_grid(self, routes, structures, laws):
+        decided = 0
+        for s in structures:
+            for name, law in laws.items():
+                certified, grid, by_factors = routes(s, law)
+                assert certified == grid, (s.name, name)
+                if by_factors:
+                    assert certified.holds and field_factors(s), (s.name, name)
+                    decided += 1
+        if "GIL" in laws:
+            assert decided == 0  # a disequation: the grid decides
+        else:
+            # Every law holds on every meadow and has a variable.
+            composites = sum(1 for s in structures if field_factors(s))
+            assert decided == composites * len(laws)
+
+    def test_seeded_quasi_identities_agree_with_the_grid(self, routes, structures):
+        composites = [s for s in structures if field_factors(s)]
+        rng = random.Random(2009)
+        decided = 0
+        for i in range(200):
+            formula = random_conditional(rng, ("x", "y", "z"), 3, 2)
+            s = composites[i % len(composites)]
+            certified, grid, by_factors = routes(s, formula)
+            assert certified == grid, (s.name, i)
+            decided += by_factors
+        assert decided > 20
+
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_structure_that_does_not_decompose(self, routes, k):
+        # Z/k with the identity as inverse breaks the restricted inverse law.
+        ring = zmod_ring(k)
+        s = FiniteStructure(
+            f"Z/{k}+id", k, 0, 1, ring.add, ring.mul, ring.neg, tuple(range(k))
+        )
+        with pytest.raises(DecompositionNotFound):
+            decompose(s)
+        assert field_factors(s) == ()
+        certified, grid, by_factors = routes(s, MD["Ril"])
+        assert certified == grid == brute_force(s, MD["Ril"])
+        assert not certified.holds and not by_factors
+        assert certified.witness == {"x": 2}
+
+    def test_failing_factor_leaves_the_witness_to_the_grid(self, routes):
+        # 2x = 0 -> x = 0 fails on Z_2 at x = 1 and holds on Z_3 and Z_5;
+        # on Md_30 it fails first at 15, which is 1 in Z_2.
+        md30 = build_mdk(30)
+        formula = parse_conditional("x + x = 0 -> x = 0")
+        assert [check_conditional(f, formula) for f in field_factors(md30)] == [
+            Verdict(False, {"x": 1}), Verdict(True), Verdict(True),
+        ]
+        certified, grid, by_factors = routes(md30, formula)
+        assert certified == grid == Verdict(False, {"x": 15})
+        assert not by_factors
+
+    def test_certificate_leaves_no_cyclic_garbage(self, monkeypatch):
+        # A first decomposition imports modules, whose objects are cyclic.
+        decompose(build_mdk(6))
+        monkeypatch.setattr(structures_module, "_BLOCK_BYTES", 1)
+        md30 = build_mdk(30)
+        gc.collect()
+        gc.disable()
+        try:
+            assert check_equation(md30, MD["distrib"]).holds
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert field_factors(md30)
 
 
 class TestAxiomSets:

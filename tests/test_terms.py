@@ -58,6 +58,19 @@ class TestParse:
     def test_postfix_stacks(self):
         assert parse_term("x^-1^-1") == Inv(Inv(X))
 
+    def test_postfix_inverses_count_as_nesting(self):
+        chain = "x" + "^-1" * 100
+        assert parse_term(f"{chain} + -{chain[:-3]}") is not None
+        for deep in (chain + "^-1", f"({chain})", f"-{chain}", f"inv({chain})"):
+            with pytest.raises(ParseError, match="nested more than 100"):
+                parse_term(deep)
+        # Chains in parentheses add up along the path into the term.
+        groups = "x"
+        for _ in range(12):
+            groups = f"({groups}{'^-1' * 8})"
+        with pytest.raises(ParseError, match="nested more than 100"):
+            parse_term(groups)
+
     def test_unary_minus_binds_tighter_than_mul_argument(self):
         assert parse_term("-x*y") == Mul(Neg(X), Y)
         assert parse_term("x*-y") == Mul(X, Neg(Y))

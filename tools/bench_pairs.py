@@ -1,0 +1,127 @@
+"""Alternating parent/change pairs of the benchmark, reduced to a BENCH file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload exhaust-laws --pairs 4 --first-seed 1001 --out BENCH_7.json
+
+Each pair runs ``perfbench/run.py --workload <w> --seed <s> --seconds <t>
+--trace 0`` once in each checkout, one run at a time, with the same seed on
+both sides; even pairs run the parent first.  Pair i uses seed
+first_seed + i.  The end-to-end metrics are the ones ``BENCHMARK.json`` of
+the change declares.  The output keeps every run's value, and per side the
+median and quartiles; ``change_wins`` counts the pairs in which the change
+read better.  An existing output file is updated workload by workload, so
+workloads can be measured in separate invocations.
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+WHAT = (
+    "Alternating parent/change pairs of `python3 perfbench/run.py --workload "
+    "<w> --seed <s> --seconds <t> --trace 0`, one run at a time, each side run "
+    "from its own checkout, written by tools/bench_pairs.py. Pair i uses seed "
+    "first_seed+i on both sides; even pairs run the parent first. values holds "
+    "each side's runs in pair order; medians and quartiles are over those runs, "
+    "and change_wins counts the pairs in which the change read better."
+)
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: {' '.join(cmd)} exited with {done.returncode}\n"
+                 f"{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def reduce(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    out = {}
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
+        wins = sum(
+            (c > p) if better == "higher" else (c < p)
+            for p, c in zip(values["parent"], values["change"])
+        )
+        stats = {side: spread(values[side]) for side in SIDES}
+        out[name] = {
+            "unit": metric["unit"],
+            "better": better,
+            **{side: {**stats[side], "values": [round(v, 4) for v in values[side]]}
+               for side in SIDES},
+            "change_over_parent": round(
+                stats["change"]["median"] / stats["parent"]["median"], 4
+            ),
+            "change_wins": f"{wins}/{len(values['parent'])}",
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--first-seed", type=int, default=1001)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report.update({
+        "what": WHAT,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+        },
+        "run_seconds": args.seconds,
+    })
+    for workload in args.workload:
+        seeds = [args.first_seed + i for i in range(args.pairs)]
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result = run(checkouts[side], workload, seed, args.seconds)
+                runs[side].append(result)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{result['metrics']['ops_per_s']['value']:.1f} ops/s",
+                      file=sys.stderr)
+        report.setdefault("workloads", {})[workload] = {
+            "pairs": args.pairs,
+            "seeds": seeds,
+            "metrics": reduce(declared["end_to_end"], runs),
+            "correct": all(r["correct"] for side in SIDES for r in runs[side]),
+            "failed_per_attempted": {
+                side: [f"{r['failed']}/{r['attempted']}" for r in runs[side]]
+                for side in SIDES
+            },
+        }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
