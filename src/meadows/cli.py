@@ -169,6 +169,8 @@ def cmd_check(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> tuple[str, int]:
+    if samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {samples}", 0)
     formula = parse_formula(formula_text)
     models = [resolve_model(spec) for spec in model_specs]
     report = battery_check(

@@ -107,7 +107,8 @@ def build_mdk(k: int) -> FiniteStructure:
 def _modular_meadow(r: int, name: str) -> FiniteStructure:
     # Z/r for squarefree r.  The inverse table holds, for each x, the unique
     # y with x*x*y = x and y*y*x = y; a scan finds it and asserts uniqueness.
-    idx = np.arange(r, dtype=np.int32 if r * r < 2**31 else np.int64)
+    check_table_bound(r, name)
+    idx = np.arange(r, dtype=np.int32)
     add = (idx[:, None] + idx[None, :]) % r
     mul = (idx[:, None] * idx[None, :]) % r
     neg = (-idx) % r
@@ -322,7 +323,7 @@ def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
         for i in range(m):
             image = add[image, mul[numerals[digits[:, i]], power]]
             power = mul[power, r]
-        if np.unique(image).size == n:
+        if np.bincount(image, minlength=n).all():  # image is onto F
             back = np.empty(n, dtype=np.int32)
             back[image] = elements
             candidates.append(back)

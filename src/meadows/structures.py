@@ -8,17 +8,19 @@ freely between threads.
 Equation checking is exhaustive.  Each formula is compiled once, by one
 iterative walk over its distinct nodes, into a straight-line program of
 table lookups with shared subterms merged and closed subterms folded to
-constants.  The program then runs over the whole assignment grid with
-numpy.  A grid whose arrays fit a fixed byte budget is evaluated at once
-by table indexing over broadcast axes.  A larger one is searched in blocks
-of consecutive values of its first variable: whatever does not use that
-variable is hoisted and evaluated once, and the rest writes into
-preallocated buffers sized so that the block stays under the budget.  So
-the memory of a check stays bounded and carriers of a couple hundred
-elements exhaust well inside interactive budgets.  The checker returns the
-lexicographically least falsifying assignment (variables in sorted order),
-so results are deterministic.  The plain recursive ``eval_term`` evaluates
-single points and is the independent oracle the checker is tested against.
+constants.  One search then runs it over the assignment grid with numpy,
+block by block, each block by table lookups over broadcast axes.  A grid
+whose arrays fit a fixed byte budget is a single block.  A larger one is
+searched in blocks of consecutive values of one variable, the variables
+before it pinned value by value: whatever does not use the block's
+variable is hoisted and evaluated once per pin, and a block holds as many
+values as keep a fresh array for every slot that varies within it, and
+two masks, under the budget.  So the memory of a check stays bounded and
+carriers of a couple hundred elements exhaust well inside interactive
+budgets.  The checker returns the lexicographically least falsifying
+assignment (variables in sorted order), so results are deterministic.  The
+plain recursive ``eval_term`` evaluates single points and is the
+independent oracle the checker is tested against.
 
 An equation or a quasi-identity (a conditional whose premises are all
 equations) whose grid is too large to evaluate whole is first decided on
@@ -66,11 +68,13 @@ __all__ = [
 
 Assignment = dict[str, int]
 
-# Bytes of working arrays an exhaustive check may hold at once: the slots
-# of a whole grid, or block cells x peak live slots x itemsize for a grid
-# searched in blocks.  A block this size stays near the cache: of 1, 2, 4
-# and 8 MB, 2 MB exhausted the MD laws on every squarefree Md_k <= 210
-# fastest.
+# Bytes of working arrays an exhaustive check may hold at once: the int32
+# slots of a whole grid and two boolean masks over it, or, for a grid
+# searched in blocks, an int32 array over the whole block for every slot
+# that uses the head or a later variable, and the two masks.  Every slot
+# of a block is a fresh array, live until the block is tested.  A block
+# this size stays near the cache: of 1, 2, 4 and 8 MB, 2 MB exhausted the
+# MD laws on every squarefree Md_k <= 210 fastest.
 _BLOCK_BYTES = 1 << 21
 
 # Constructors that build whole tables at once refuse a structure whose
@@ -290,153 +294,79 @@ def _compile(s, terms):
     return ops, uses, names, [memo[id(t)] for t in terms], cells
 
 
-def _broadcast_eval(s, ops, uses, skip, free, fixed):
-    """The slots that use no variable in the mask `skip`, by table indexing
-    over broadcast axes: variable free[i] runs along axis i of len(free),
-    and fixed maps pinned variables to values.  Other slots stay None."""
-    arrays = _arrays(s)
-    n = s.size
-    vals = [None] * len(ops)
+def _broadcast_eval(s, ops, uses, vals, skip, env):
+    """Fill in vals, the values of the slots, by table lookups over
+    broadcast axes, and return it.  env maps each variable to its value:
+    an int when it is pinned, else its values along its own axis.  Slots
+    already filled in, and those that use a variable in the mask skip,
+    are left as they are."""
+    tables = _arrays(s)
+    # An int32 scalar: numpy multiplies arrays by it faster than by an int.
+    n = np.int32(s.size)
     for i, (op, a, b) in enumerate(ops):
-        if uses[i] & skip:
+        if vals[i] is not None or uses[i] & skip:
             continue
         if op < _NEG:
-            v = arrays[op][vals[a], vals[b]]
+            vals[i] = tables[op].take(vals[a] * n + vals[b])
         elif op < _VAR:
-            v = arrays[op][vals[a]]
-        elif op == _CONST:
-            v = a
+            vals[i] = tables[op].take(vals[a])
         else:
-            v = fixed.get(a)
-            if v is None:
-                shape = [1] * len(free)
-                shape[free.index(a)] = n
-                v = np.arange(n, dtype=np.int32).reshape(shape)
-        vals[i] = v
+            vals[i] = a if op == _CONST else env[a]
     return vals
 
 
-def _plan(ops, uses, hbit, tests):
-    """The steps of one block: (op, a, b, slot, buffer) for every slot that
-    uses the head bit hbit, in order, and the number of buffers.  Each slot
-    but the head variable writes into a buffer that is free again after
-    the slot's last use; tested slots live to the end of the block."""
-    block = [i for i, mask in enumerate(uses) if mask & hbit]
-    last = {}
-    for pos, i in enumerate(block):
-        op, a, b = ops[i]
-        if op < _VAR:
-            last[a] = pos
-        if op < _NEG:
-            last[b] = pos
-    for _, left, right in tests:
-        last[left] = last[right] = len(block)
-    buffer_of, free, plan = {}, [], []
-    count = 0
-    for pos, i in enumerate(block):
-        op, a, b = ops[i]
-        out = None
-        if op != _VAR:
-            if free:
-                out = free.pop()
-            else:
-                out, count = count, count + 1
-            buffer_of[i] = out
-            for child in (a, b) if op < _NEG else (a,):
-                if last.get(child) == pos and child in buffer_of:
-                    free.append(buffer_of.pop(child))
-        plan.append((op, a, b, i, out))
-    return plan, count
-
-
-def _search_blocks(s, ops, uses, names, tests):
-    """The least falsifier of a compiled formula, or None, block by block.
+def _search(s, ops, uses, names, tests, whole):
+    """The least falsifier of a compiled formula, or None.
 
     With the variables in sorted order, a prefix of them is pinned, value
     by value, and the next one, the head, runs in blocks of consecutive
     values; pins and blocks both ascend, so the first block with a
-    falsifier holds the least one.  The prefix is the shortest one for
-    which one head value fits _BLOCK_BYTES, and a block holds as many head
-    values as keep block cells x peak live slots x itemsize under it.
-    Every slot without the head is evaluated once per pin, before the
-    blocks.  The others write into int32 buffers allocated once, each
-    viewed in the shape of its slot's own variables.
+    falsifier holds the least one.  A whole grid is one block.  Otherwise
+    the prefix is the shortest one for which one head value fits
+    _BLOCK_BYTES, counting an int32 array over the rest of the grid for
+    every slot that uses the head or a later variable, and two boolean
+    masks; a block holds as many head values as fit.  When a pin has
+    several blocks, the slots without the head are evaluated once for it,
+    before its blocks.
     """
     n = s.size
     order = sorted(names)
-    bits = {v: 1 << d for d, v in enumerate(names)}
-    index_type = np.int32 if n * n <= 2**31 else np.int64
-    for depth, head in enumerate(order):
-        rest = order[depth + 1:]
-        hbit = bits[head]
-        rest_bits = sum(bits[v] for v in rest)
-        plan, count = _plan(ops, uses, hbit, tests)
-        hoisted = sum(1 for mask in uses if mask & rest_bits and not mask & hbit)
-        # Bytes per head value: the int32 buffers and hoisted arrays, the
-        # two index buffers and the two masks.
-        per_value = n ** len(rest) * (
-            4 * (count + hoisted) + 2 * np.dtype(index_type).itemsize + 2
-        )
-        if per_value <= _BLOCK_BYTES:
-            break
-    width = min(n, max(1, _BLOCK_BYTES // per_value))
-    cells = width * n ** len(rest)
-    buffers = [np.empty(cells, np.int32) for _ in range(count)]
-    index, scaled = np.empty(cells, index_type), np.empty(cells, index_type)
-    full = (width,) + (n,) * len(rest)
-    masks = np.empty(full, bool), np.empty(full, bool)
-
-    def view(buffer, mask, m):
-        # The prefix of a buffer in the shape of the variables in mask.
-        shape = (m if mask & hbit else 1,) + tuple(
-            n if mask & bits[v] else 1 for v in rest
-        )
-        return buffer[: math.prod(shape)].reshape(shape)
-
-    def views(m):
-        # Per step: its output, its index, and the left operand times n.
-        return [
-            None if k is None else (
-                view(buffers[k], uses[i], m), view(index, uses[i], m),
-                view(scaled, uses[a], m) if op < _NEG else None,
+    depth, width = 0, n
+    if not whole:
+        bits = {v: 1 << d for d, v in enumerate(names)}
+        later = sum(bits.values())  # the head and the variables after it
+        for depth, head in enumerate(order):
+            per_value = n ** (len(order) - depth - 1) * (
+                4 * sum(1 for mask in uses if mask & later) + 2
             )
-            for op, a, b, i, k in plan
-        ]
-
-    steps = {m: views(m) for m in {width, n % width or width}}
-    arrays = _arrays(s)
-    flat = (arrays[_ADD].ravel(), arrays[_MUL].ravel())
-    for pins in itertools.product(range(n), repeat=depth):
-        fixed = dict(zip(order, pins))
-        vals = _broadcast_eval(s, ops, uses, hbit, rest, fixed)
+            if per_value <= _BLOCK_BYTES:
+                break
+            later ^= bits[head]
+        width = min(n, max(1, _BLOCK_BYTES // per_value))
+    free = order[depth:]
+    # free[i] runs along axis i of len(free): one arange, as n values
+    # followed by len(free) - 1 - i axes of length 1.
+    values = np.arange(n, dtype=np.int32)
+    axes = {v: values.reshape((-1,) + (1,) * i) for i, v in enumerate(free[::-1])}
+    for pins in itertools.product(range(n), repeat=depth) if depth else [()]:
+        env = {**axes, **dict(zip(order, pins))}
+        hoisted = [None] * len(ops)
+        if width < n:
+            _broadcast_eval(s, ops, uses, hoisted, bits[free[0]], env)
         for start in range(0, n, width):
-            m = min(width, n - start)
-            head_values = np.arange(start, start + m, dtype=np.int32).reshape(
-                (m,) + (1,) * len(rest)
-            )
-            # mode="clip" writes straight into out; the default mode buffers
-            # out to raise on a bad index, and no index here is out of range.
-            for (op, a, b, i, _), step in zip(plan, steps[m]):
-                if op < _NEG:
-                    out, ix, left = step
-                    np.multiply(vals[a], n, out=left, dtype=index_type)
-                    np.add(left, vals[b], out=ix)
-                    vals[i] = np.take(flat[op], ix, out=out, mode="clip")
-                elif op < _VAR:
-                    vals[i] = np.take(arrays[op], vals[a], out=step[0], mode="clip")
-                else:
-                    vals[i] = head_values
-            bad, holds = masks[0][:m], masks[1][:m]
+            if width < n:
+                env[free[0]] = axes[free[0]][start:start + width]
+            vals = _broadcast_eval(s, ops, uses, hoisted.copy(), 0, env)
             test, left, right = tests[0]
-            test(vals[left], vals[right], out=bad)
+            bad = test(vals[left], vals[right])
             for test, left, right in tests[1:]:
-                test(vals[left], vals[right], out=holds)
-                bad &= holds
+                bad = bad & test(vals[left], vals[right])
             if bad.any():
+                # Every variable occurs in a test, so bad spans the block.
                 cell = np.unravel_index(int(bad.argmax()), bad.shape)
-                found = {**fixed, head: start + int(cell[0])}
-                found.update(zip(rest, map(int, cell[1:])))
-                return {v: found[v] for v in order}
+                return {
+                    v: int(np.broadcast_to(env[v], bad.shape)[cell]) for v in order
+                }
     return None
 
 
@@ -467,11 +397,10 @@ def _find_falsifier(s, premises, conclusion, certify=True):
 
     Returns None when no such assignment exists.  Variables are ordered by
     name, which fixes the lexicographic order.  The formula is compiled
-    once (_compile); a grid whose slots all fit _BLOCK_BYTES is evaluated
-    whole by table indexing over broadcast axes.  A larger one holds when
-    certify is set, every atom is an equation and the formula holds on
-    every field factor of s, each decided on its own grid; otherwise it is
-    searched block by block (_search_blocks).
+    once (_compile) and its grid searched (_search): whole when its slots
+    all fit _BLOCK_BYTES, else in blocks.  A larger grid is not searched
+    when certify is set, every atom is an equation and the formula holds
+    on every field factor of s, each decided on its own grid.
     """
     atoms = (conclusion, *premises)
     ops, uses, names, roots, cells = _compile(
@@ -485,29 +414,16 @@ def _find_falsifier(s, premises, conclusion, certify=True):
     for k, p in enumerate(premises, 1):
         test = np.equal if isinstance(p, Equation) else np.not_equal
         tests.append((test, roots[2 * k], roots[2 * k + 1]))
-    order = sorted(names)
     # The int32 slots and two boolean masks over the grid.
-    if order and 4 * cells + 2 * s.size ** len(order) > _BLOCK_BYTES:
-        if certify and all(isinstance(atom, Equation) for atom in atoms):
-            factors = field_factors(s)
-            if factors and all(
-                _find_falsifier(f, premises, conclusion, False) is None
-                for f in factors
-            ):
-                return None
-        return _search_blocks(s, ops, uses, names, tests)
-
-    vals = _broadcast_eval(s, ops, uses, 0, order, {})
-    test, left, right = tests[0]
-    bad = test(vals[left], vals[right])
-    for test, left, right in tests[1:]:
-        if not bad.any():
+    whole = not names or 4 * cells + 2 * s.size ** len(names) <= _BLOCK_BYTES
+    if not whole and certify and all(isinstance(atom, Equation) for atom in atoms):
+        factors = field_factors(s)
+        if factors and all(
+            _find_falsifier(f, premises, conclusion, False) is None
+            for f in factors
+        ):
             return None
-        bad = bad & test(vals[left], vals[right])
-    if not bad.any():
-        return None
-    first = np.argwhere(np.broadcast_to(bad, (s.size,) * len(order)))[0]
-    return dict(zip(order, map(int, first)))
+    return _search(s, ops, uses, names, tests, whole)
 
 
 def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:
@@ -913,11 +829,13 @@ def principal_ideal(s: FiniteStructure, x: int) -> PrincipalIdeal:
         raise NotAMeadow(f"restricted inverse law fails at {x} in {s.name}")
     e = unit_of(s, x)
     mul = _arrays(s)[1]
-    elems = np.unique(mul[x])
-    if not np.array_equal(np.unique(mul[e]), elems) or not np.isin(
-        [x, e, s.inv[x]], elems
-    ).all():
+    # Membership masks over the carrier: np.unique would import numpy.ma.
+    of_x, of_e = np.zeros((2, s.size), dtype=bool)
+    of_x[mul[x]] = True
+    of_e[mul[e]] = True
+    if not np.array_equal(of_e, of_x) or not of_x[[x, e, s.inv[x]]].all():
         raise NotAMeadow(f"{s.name} does not behave like a meadow at {x}")
+    elems = np.flatnonzero(of_x)
     try:
         ring, index = _restrict(s, elems, f"{s.name}|{x}", e)
     except ValueError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .errors import NotAMeadow, NotRegular, UniquenessViolated
 from .logic import REF, RIL
-from .structures import FiniteStructure, check_axiom_set
+from .structures import FiniteStructure, check_axiom_set, check_table_bound
 
 __all__ = [
     "RegularityReport", "zmod_ring", "is_regular", "pseudoinverses",
@@ -36,6 +36,7 @@ def zmod_ring(k: int) -> FiniteStructure:
     """The ring Z/k as bare tables, without an inverse row."""
     if k < 1:
         raise ValueError("modulus must be positive")
+    check_table_bound(k, f"Z/{k}")
     idx = list(range(k))
     return FiniteStructure(
         name=f"Z/{k}",

@@ -115,6 +115,14 @@ class TestCheck:
         assert code == 1
         assert "Q0\tinvalid\tx=0" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_a_parse_error(self, capsys, samples):
+        code, out, err = run(
+            capsys, "check", "x*x^-1 = 1", "--model", "q", "--samples", samples
+        )
+        assert (code, out) == (2, "")
+        assert "--samples" in err
+
     def test_summary_line(self, capsys):
         _, out, _ = run(
             capsys, "check", "x+0=x", "--model", "zp:2", "--model", "mdk:6"
@@ -319,10 +327,11 @@ class TestPlumbing:
         assert "bound" in err
 
     @pytest.mark.parametrize(
-        "spec", ["gf:2,11", "prod:zp:13,zp:13,zp:13,zp:13"]
+        "spec", ["gf:2,11", "prod:zp:13,zp:13,zp:13,zp:13", "mdk:99991"]
     )
     def test_table_entry_bound_exit_code(self, capsys, spec):
-        # 2048^2 and 28561^2 table entries: refused before any table is built.
+        # 2048^2, 28561^2 and 99991^2 table entries: refused before any
+        # table is built.
         code, out, err = run(capsys, "table", spec)
         assert (code, out) == (4, "")
         assert "bound" in err

@@ -107,6 +107,27 @@ class TestBuildMdk:
         for k in (6, 10, 12, 30, 45):
             assert characteristic(build_mdk(k)) == radical(k)
 
+    @pytest.mark.parametrize(
+        "build, arg", [
+            (build_mdk, 99991), (build_mdk, 1027), (build_prime_field, 1031),
+            (zmod_ring, 1025),
+        ], ids=["mdk-99991", "mdk-1027", "zp-1031", "zmod-1025"],
+    )
+    def test_table_bound_refuses_before_building(self, build, arg):
+        # Squarefree or prime, so the carrier has arg elements: above the
+        # 1024 of MAX_TABLE_ENTRIES, refused before any table exists.
+        import tracemalloc
+
+        assert arg**2 > MAX_TABLE_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeOverflow, match="bound"):
+                build(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_squarefree_range_characteristic_and_minimality(self):
         for k in range(1, 211):
             if not is_squarefree(k):
@@ -288,6 +309,27 @@ class TestDecompose:
         # Chinese remainder: the diagonal is onto the whole product.
         assert result.product.size == 30
         assert sorted(result.diagonal.mapping) == list(range(30))
+
+    def test_first_decomposition_imports_nothing_cyclic(self):
+        # In a fresh interpreter: np.unique imports numpy.ma on first use,
+        # and the module objects it leaves are cyclic garbage.
+        import subprocess
+        import sys
+
+        code = (
+            "import gc, sys\n"
+            "from meadows import build_mdk, decompose\n"
+            "md6 = build_mdk(6)\n"
+            "gc.collect()\n"
+            "gc.disable()\n"
+            "decompose(md6)\n"
+            "print(gc.collect(), 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout == "0 False\n"
 
     def test_field_decomposes_as_itself(self):
         z7 = build_prime_field(7)

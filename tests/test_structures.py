@@ -144,20 +144,22 @@ class TestCheckEquation:
                 assert check_conditional(s, formula) == brute_force(s, formula)
 
     def test_chunked_route_agrees(self, monkeypatch):
-        # Byte budgets from 1 up force the block route on Md_10, and a spy
-        # on np.arange records each block as the range of its head values.
-        blocks = []
+        # The default budget takes each grid on Md_10 as one block, and
+        # budgets from 1 up force smaller blocks.  A spy on _broadcast_eval
+        # records each block as the range of its head values: the sorted
+        # first variable that is not pinned.
+        blocks, calls = [], []
+        evaluate = structures_module._broadcast_eval
 
-        class Spy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def spy(s, ops, uses, vals, skip, env):
+            calls.append(skip)
+            free = sorted(v for v, x in env.items() if isinstance(x, np.ndarray))
+            if free and not skip:
+                head = env[free[0]].ravel()
+                blocks.append((int(head[0]), int(head[-1]) + 1))
+            return evaluate(s, ops, uses, vals, skip, env)
 
-            def arange(self, *args, **kwargs):
-                if len(args) == 2:
-                    blocks.append(args)
-                return np.arange(*args, **kwargs)
-
-        monkeypatch.setattr(structures_module, "np", Spy())
+        monkeypatch.setattr(structures_module, "_broadcast_eval", spy)
         without_certificate(monkeypatch)
         md10 = build_mdk(10)
         formulas = [
@@ -167,21 +169,27 @@ class TestCheckEquation:
             parse_conditional("y*y = y -> x*y = y*x"),
             parse_conditional("y*y = y & z = 1 -> x*y = x"),
             parse_conditional("x = -1 -> y = y+1"),  # fails at x = 9 only
-            # x*y is read again after other buffers are taken, and the
-            # tested x*y after its last use as an operand
+            # x*y is an operand of several slots and a tested side
             parse_equation("x*y + (x+z)*(x*y) = (x*y)*(1+x+z)"),
             parse_equation("x*y = x*y*(x*y)^-1*(x*y) + (x+y+z)*0"),
             parse_equation("(1+1)*(1+1)^-1 = 1"),  # closed
         ]
+        default = structures_module._BLOCK_BYTES
         seen = set()
         for formula in formulas:
             expected = brute_force(md10, formula)
-            for budget in (1, *range(100, 12001, 100)):
+            for budget in (default, 1, *range(100, 12001, 100)):
                 monkeypatch.setattr(structures_module, "_BLOCK_BYTES", budget)
                 blocks.clear()
+                calls.clear()
                 assert check_conditional(md10, formula) == expected, (formula, budget)
                 if not blocks:
+                    assert calls == [0]  # closed: one pass, no head
                     continue
+                if blocks == [(0, 10)] and calls == [0]:
+                    seen.add("whole grid")  # one pass, nothing hoisted
+                    continue
+                assert budget != default, formula  # every grid here fits it
                 widths = {stop - start for start, stop in blocks}
                 seen.add("one value" if widths == {1} else "several values")
                 if any(10 % w for w in widths):
@@ -193,7 +201,7 @@ class TestCheckEquation:
                     seen.add("witness in last block")
         assert seen == {
             "pinned", "one value", "several values", "width not dividing n",
-            "witness in last block",
+            "witness in last block", "whole grid",
         }
 
     def test_shared_term_is_compiled_once(self):
@@ -229,6 +237,21 @@ class TestCheckEquation:
             tracemalloc.stop()
         assert verdict.holds
         assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("law", ["distrib", "mul_assoc"])
+    def test_prime_grid_peak_is_within_the_budget(self, law):
+        # Md_211 is a field, so no factor decides: 9.4 M cells searched in
+        # blocks, whose arrays the budget bounds.
+        md211 = build_mdk(211)
+        assert field_factors(md211) == ()
+        tracemalloc.start()
+        try:
+            verdict = check_equation(md211, MD[law])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 2 * structures_module._BLOCK_BYTES
 
     @pytest.mark.parametrize(
         "check", [brute_force, check_equation], ids=["scalar", "bulk"]
@@ -268,7 +291,7 @@ class TestFieldFactors:
         whether the certificate decided the first."""
         gated, searched = [], []
         lookup = structures_module.field_factors
-        search = structures_module._search_blocks
+        search = structures_module._search
 
         def lookup_spy(s):
             gated.append(s)
@@ -279,7 +302,7 @@ class TestFieldFactors:
             return search(s, *args)
 
         monkeypatch.setattr(structures_module, "field_factors", lookup_spy)
-        monkeypatch.setattr(structures_module, "_search_blocks", search_spy)
+        monkeypatch.setattr(structures_module, "_search", search_spy)
 
         def check(s, formula):
             if isinstance(formula, Equation):

@@ -9,8 +9,11 @@ both sides; even pairs run the parent first.  Pair i uses seed
 first_seed + i.  The end-to-end metrics are the ones ``BENCHMARK.json`` of
 the change declares.  The output keeps every run's value, and per side the
 median and quartiles; ``change_wins`` counts the pairs in which the change
-read better.  An existing output file is updated workload by workload, so
-workloads can be measured in separate invocations.
+read better.  A run that exits non-zero is kept in ``failed_runs`` with its
+side, seed, exit code and the tail of its stderr, and the pairs go on; its
+value is null, and only pairs with both runs count towards the wins.  An
+existing output file is updated workload by workload, so workloads can be
+measured in separate invocations.
 """
 
 import argparse
@@ -30,21 +33,24 @@ WHAT = (
     "from its own checkout, written by tools/bench_pairs.py. Pair i uses seed "
     "first_seed+i on both sides; even pairs run the parent first. values holds "
     "each side's runs in pair order; medians and quartiles are over those runs, "
-    "and change_wins counts the pairs in which the change read better."
+    "and change_wins counts the pairs in which the change read better. A run "
+    "that exited non-zero is listed in failed_runs and its values are null."
 )
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float):
+    """The run's result, or (exit code, tail of stderr) when it fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"{checkout}: {' '.join(cmd)} exited with {done.returncode}\n"
-                 f"{done.stderr}")
+        return done.returncode, done.stderr[-2000:]
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def spread(values: list[float]) -> dict:
+    if not values:
+        return {"median": None, "q1": None, "q3": None}
     if len(values) < 2:
         q1 = median = q3 = values[0]
     else:
@@ -56,22 +62,23 @@ def reduce(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     out = {}
     for metric in metrics:
         name, better = metric["name"], metric["better"]
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
-                  for side in SIDES}
-        wins = sum(
-            (c > p) if better == "higher" else (c < p)
-            for p, c in zip(values["parent"], values["change"])
-        )
-        stats = {side: spread(values[side]) for side in SIDES}
+        values = {
+            side: [r and round(r["metrics"][name]["value"], 4) for r in runs[side]]
+            for side in SIDES
+        }
+        pairs = [(p, c) for p, c in zip(values["parent"], values["change"])
+                 if p is not None and c is not None]
+        wins = sum((c > p) if better == "higher" else (c < p) for p, c in pairs)
+        stats = {side: spread([v for v in values[side] if v is not None])
+                 for side in SIDES}
         out[name] = {
             "unit": metric["unit"],
             "better": better,
-            **{side: {**stats[side], "values": [round(v, 4) for v in values[side]]}
-               for side in SIDES},
+            **{side: {**stats[side], "values": values[side]} for side in SIDES},
             "change_over_parent": round(
                 stats["change"]["median"] / stats["parent"]["median"], 4
-            ),
-            "change_wins": f"{wins}/{len(values['parent'])}",
+            ) if pairs else None,
+            "change_wins": f"{wins}/{len(pairs)}",
         }
     return out
 
@@ -102,20 +109,29 @@ def main(argv=None) -> int:
     for workload in args.workload:
         seeds = [args.first_seed + i for i in range(args.pairs)]
         runs = {side: [] for side in SIDES}
+        failed = []
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 result = run(checkouts[side], workload, seed, args.seconds)
+                if isinstance(result, tuple):
+                    code, stderr = result
+                    failed.append({"side": side, "seed": seed, "exit_code": code,
+                                   "stderr_tail": stderr})
+                    result = None
+                    said = f"exited with {code}"
+                else:
+                    said = f"{result['metrics']['ops_per_s']['value']:.1f} ops/s"
                 runs[side].append(result)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{result['metrics']['ops_per_s']['value']:.1f} ops/s",
-                      file=sys.stderr)
+                print(f"{workload} seed {seed} {side}: {said}", file=sys.stderr)
+        done = [r for side in SIDES for r in runs[side] if r]
         report.setdefault("workloads", {})[workload] = {
             "pairs": args.pairs,
             "seeds": seeds,
             "metrics": reduce(declared["end_to_end"], runs),
-            "correct": all(r["correct"] for side in SIDES for r in runs[side]),
+            "correct": not failed and all(r["correct"] for r in done),
+            "failed_runs": failed,
             "failed_per_attempted": {
-                side: [f"{r['failed']}/{r['attempted']}" for r in runs[side]]
+                side: [r and f"{r['failed']}/{r['attempted']}" for r in runs[side]]
                 for side in SIDES
             },
         }
