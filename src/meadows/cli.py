@@ -18,6 +18,7 @@ the input is not a non-trivial meadow.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,10 +33,7 @@ from .finite_meadows import (
     build_galois_field, build_mdk, build_prime_field, classify_minimal,
     decompose,
 )
-from .logic import (
-    ConditionalEquation, Equation, encode_conditional, format_equation,
-    parse_formula,
-)
+from .logic import encode_conditional, format_equation, parse_formula
 from .rationals import (
     RationalZT, eval_rational, parse_rational, sample_check_conditional,
 )
@@ -206,10 +204,7 @@ def cmd_table(model_spec: str) -> tuple[str, int]:
 
 
 def cmd_encode(formula_text: str) -> tuple[str, int]:
-    formula = parse_formula(formula_text)
-    if isinstance(formula, Equation):
-        formula = ConditionalEquation((), formula)
-    encoded = encode_conditional(formula)
+    encoded = encode_conditional(parse_formula(formula_text))
     return format_equation(encoded) + "\n", 0
 
 
@@ -283,6 +278,9 @@ def _exit_code(exc: Exception) -> int:
     return 2
 
 
+# Built once per process: each command's run looks its cmd_* function up
+# when it is called, so rebinding one later still takes effect.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meadows",

@@ -398,10 +398,14 @@ def classify_minimal(up_to: int) -> list[MinimalMeadowRow]:
     """One row per squarefree k <= up_to: the minimal meadow of that
     characteristic, whether it is minimal (it is) and whether it is a field
     (exactly for prime k: its only idempotents are 0 and 1)."""
-    rows = []
+    ks = []
     for k in range(1, up_to + 1):
-        if not is_squarefree(k):
-            continue
+        if is_squarefree(k):
+            # Refuse a bound past the table limit before building anything.
+            check_table_bound(k, f"Md_{k}")
+            ks.append(k)
+    rows = []
+    for k in ks:
         s = build_mdk(k)
         rows.append(
             MinimalMeadowRow(

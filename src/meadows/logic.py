@@ -4,6 +4,12 @@ Everything here is syntax: building, parsing and transforming formulas over
 the term language.  Semantic checking against finite structures lives in
 :mod:`meadows.structures`; batch suites live in :mod:`meadows.suites`.
 
+Every formula has one shape: a tuple of ``premises`` and a ``conclusion``,
+each an atom (an ``Equation`` or a ``Disequation``).  An atom is the formula
+with no premises and itself as conclusion, so an equation is a premise-free
+conditional equation and checkers, samplers and the encoding take either
+without wrapping it.
+
 The named axiom sets are plain dictionaries so checkers can report per-law
 verdicts:
 
@@ -20,7 +26,6 @@ verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TypeAlias, Union
 
 from .errors import ParseError, UnsupportedPremise
 from .terms import (
@@ -40,27 +45,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Equation:
+class Atom:
+    """lhs = rhs or lhs != rhs: a formula with no premises, its own
+    conclusion.  Only the subclass says which relation holds."""
+
     lhs: Term
     rhs: Term
+    premises = ()
+
+    @property
+    def conclusion(self) -> "Atom":
+        return self
 
     def variables(self) -> set[str]:
         return free_vars(self.lhs) | free_vars(self.rhs)
 
 
-@dataclass(frozen=True)
-class Disequation:
+class Equation(Atom):
+    """lhs = rhs."""
+
+
+class Disequation(Atom):
     """lhs != rhs.  Allowed in conditional premises and conclusions so the
     guarded field axioms can be written down, but never encodable."""
-
-    lhs: Term
-    rhs: Term
-
-    def variables(self) -> set[str]:
-        return free_vars(self.lhs) | free_vars(self.rhs)
-
-
-Atom: TypeAlias = Union[Equation, Disequation]
 
 
 @dataclass(frozen=True)
@@ -115,11 +122,13 @@ def parse_conditional(src: str) -> ConditionalEquation:
     return ConditionalEquation((), atoms[0])
 
 
-def parse_formula(src: str) -> Equation | ConditionalEquation:
-    """Parse either an equation or a conditional equation."""
-    if "->" in src or "&" in src or "!=" in src:
-        return parse_conditional(src)
-    return parse_equation(src)
+def parse_formula(src: str) -> Atom | ConditionalEquation:
+    """Parse any formula: a bare equation comes back as an Equation, every
+    other formula as parse_conditional gives it."""
+    ce = parse_conditional(src)
+    if not ce.premises and isinstance(ce.conclusion, Equation):
+        return ce.conclusion
+    return ce
 
 
 def format_atom(atom: Atom) -> str:
@@ -131,7 +140,7 @@ def format_equation(eq: Equation) -> str:
     return format_atom(eq)
 
 
-def format_conditional(ce: ConditionalEquation) -> str:
+def format_conditional(ce: Atom | ConditionalEquation) -> str:
     if not ce.premises:
         return format_atom(ce.conclusion)
     joined = " & ".join(format_atom(p) for p in ce.premises)
@@ -156,7 +165,7 @@ def u_merge(x: Term, y: Term) -> Term:
     return sub(sub(div(xy, xy), div(x, x)), div(y, y))
 
 
-def encode_conditional(ce: ConditionalEquation) -> Equation:
+def encode_conditional(ce: Atom | ConditionalEquation) -> Equation:
     """Fold a conditional equation into a single equation.
 
     With premises t1 = 0, ..., tn = 0 (after normalization) and conclusion

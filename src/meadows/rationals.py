@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnboundVariable
-from .logic import ConditionalEquation, Equation, encode_conditional
+from .logic import Atom, ConditionalEquation, Equation, encode_conditional
 from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
 
 __all__ = [
@@ -159,7 +159,11 @@ def eval_rational(
             case _:  # pragma: no cover
                 raise TypeError(f"not a term: {node!r}")
 
-    return EvalTrace(*rec(t))
+    # rec refers to itself through its closure; drop it so no cycle is left.
+    try:
+        return EvalTrace(*rec(t))
+    finally:
+        del rec
 
 
 # --- seeded sampling ---------------------------------------------------------
@@ -208,10 +212,7 @@ def sample_check(eq: Equation, samples: int = 500, seed: int = 0) -> SampleVerdi
     Validity over the rationals cannot be decided by exhaustion, so this is
     evidence, not proof; the seed makes the evidence reproducible.
     """
-    for a in sample_assignments(eq.variables(), samples, seed):
-        if eval_rational(eq.lhs, a).value != eval_rational(eq.rhs, a).value:
-            return SampleVerdict(False, a, samples)
-    return SampleVerdict(True, None, samples)
+    return sample_check_conditional(eq, samples, seed)
 
 
 def _atom_holds(atom, a) -> bool:
@@ -220,26 +221,23 @@ def _atom_holds(atom, a) -> bool:
 
 
 def sample_check_conditional(
-    formula: Equation | ConditionalEquation, samples: int = 500, seed: int = 0
+    formula: Atom | ConditionalEquation, samples: int = 500, seed: int = 0
 ) -> SampleVerdict:
-    """Sampled check of an equation or a conditional.
+    """Sampled check of any formula: the first sampled point that satisfies
+    every premise but not the conclusion is the counterexample.
 
-    An equation is sampled directly.  Equational premises are satisfied on a
-    measure-zero set, so random points rarely exercise them: a conditional
-    whose premises and conclusion are all equations is sampled through its
-    encoded equation (encode_conditional) instead.  Any other conditional
-    is sampled as is; disequation premises (the guarded laws) are hit
-    constantly.
+    Equational premises are satisfied on a measure-zero set, so random
+    points rarely exercise them: a formula with premises, all of them and
+    its conclusion equations, is sampled through its encoded equation
+    (encode_conditional) instead.  Disequation premises (the guarded laws)
+    are hit constantly, so such a formula is sampled as is.
     """
-    if isinstance(formula, ConditionalEquation) and all(
-        isinstance(atom, Equation)
-        for atom in (*formula.premises, formula.conclusion)
-    ):
+    atoms = (*formula.premises, formula.conclusion)
+    if formula.premises and all(isinstance(atom, Equation) for atom in atoms):
         formula = encode_conditional(formula)
-    if isinstance(formula, Equation):
-        return sample_check(formula, samples, seed)
     for a in sample_assignments(formula.variables(), samples, seed):
-        if all(_atom_holds(p, a) for p in formula.premises):
-            if not _atom_holds(formula.conclusion, a):
-                return SampleVerdict(False, a, samples)
+        if not _atom_holds(formula.conclusion, a) and all(
+            _atom_holds(p, a) for p in formula.premises
+        ):
+            return SampleVerdict(False, a, samples)
     return SampleVerdict(True, None, samples)

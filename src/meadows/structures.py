@@ -50,7 +50,7 @@ from .errors import (
     FormatError, MeadowError, MissingInverseTable, NoFiniteCharacteristic,
     NotAMeadow, SearchBoundExceeded, SizeOverflow, UnboundVariable,
 )
-from .logic import CR, MD, ZIL, GIL, SEP, ConditionalEquation, Equation
+from .logic import CR, MD, ZIL, GIL, SEP, Atom, ConditionalEquation, Equation
 from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
 
 __all__ = [
@@ -428,21 +428,15 @@ def _find_falsifier(s, premises, conclusion, certify=True):
 
 def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:
     """Decide whether lhs = rhs holds under every assignment, by exhaustion."""
-    witness = _find_falsifier(s, (), eq)
-    return Verdict(witness is None, witness)
+    return check_conditional(s, eq)
 
 
 def check_conditional(
-    s: FiniteStructure, formula: Equation | ConditionalEquation
+    s: FiniteStructure, formula: Atom | ConditionalEquation
 ) -> Verdict:
-    """Decide a conditional: every assignment satisfying the premises must
-    satisfy the conclusion.  Premises and conclusion may be disequations.
-
-    An Equation is checked as the conditional with no premises, so this is
-    the one entry point for any formula.
-    """
-    if isinstance(formula, Equation):
-        formula = ConditionalEquation((), formula)
+    """Decide a formula: every assignment satisfying the premises must
+    satisfy the conclusion.  Premises and conclusion may be disequations;
+    an atom has no premises."""
     witness = _find_falsifier(s, formula.premises, formula.conclusion)
     return Verdict(witness is None, witness)
 
@@ -473,8 +467,9 @@ def is_zt_field(s: FiniteStructure) -> bool:
     # The laws with one variable or none first: a meadow that is not a
     # field already fails GIL, before the three-variable ring laws run.
     return all(
-        check_conditional(s, law).holds for law in (SEP, ZIL["Zil"], GIL)
-    ) and all(check_equation(s, eq).holds for eq in CR.values())
+        check_conditional(s, law).holds
+        for law in (SEP, ZIL["Zil"], GIL, *CR.values())
+    )
 
 
 def satisfies_iel(s: FiniteStructure) -> bool:
@@ -920,6 +915,9 @@ def load_structure(text: str) -> FiniteStructure:
         one = int(_expect_key(lines, "one"))
     except ValueError:
         raise FormatError("size, zero and one must be integers", 0) from None
+    if size < 0:
+        raise FormatError(f"size must not be negative, got {size}", 0)
+    check_table_bound(size, f"structure {name!r}")
 
     def table(key):
         header = _expect_key(lines, key)

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .finite_meadows import build_galois_field, build_mdk, build_prime_field
-from .logic import DERIVED_IDENTITIES, ConditionalEquation, Equation
-from .rationals import SampleVerdict, sample_check_conditional
+from .logic import DERIVED_IDENTITIES, Atom, ConditionalEquation, Equation
 from .structures import (
     FiniteStructure, Verdict, check_conditional, is_zt_field, product,
     subalgebra_generated,
@@ -79,7 +78,6 @@ class BatteryReport:
     """Per-structure verdicts plus the fields-versus-meadows summary."""
 
     rows: tuple[tuple[str, Verdict], ...]
-    rational: SampleVerdict | None
     fields_valid: bool   # valid on every battery member that is a field
     meadows_valid: bool  # valid on every battery member
 
@@ -87,20 +85,12 @@ class BatteryReport:
     def agreement(self) -> bool:
         return self.fields_valid == self.meadows_valid
 
-    @property
-    def all_valid(self) -> bool:
-        return self.meadows_valid and (self.rational is None or self.rational.holds)
-
 
 def battery_check(
-    formula: Equation | ConditionalEquation,
+    formula: Atom | ConditionalEquation,
     battery: tuple[FiniteStructure, ...] | list[FiniteStructure],
-    rational_samples: int | None = None,
-    seed: int = 0,
 ) -> BatteryReport:
-    """Check a formula on every battery member, and optionally on sampled
-    rationals (sample_check_conditional decides how each kind of formula is
-    sampled)."""
+    """Check a formula on every battery member."""
     rows = []
     fields_valid = True
     meadows_valid = True
@@ -110,11 +100,7 @@ def battery_check(
         meadows_valid = meadows_valid and verdict.holds
         if is_zt_field(s):
             fields_valid = fields_valid and verdict.holds
-
-    rational = None
-    if rational_samples:
-        rational = sample_check_conditional(formula, rational_samples, seed)
-    return BatteryReport(tuple(rows), rational, fields_valid, meadows_valid)
+    return BatteryReport(tuple(rows), fields_valid, meadows_valid)
 
 
 # --- seeded generation of formulas, for the soundness suites ---------------

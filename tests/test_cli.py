@@ -1,6 +1,6 @@
 import pytest
 
-from meadows import dump_structure, load_structure, zmod_ring
+from meadows import dump_structure, finite_meadows, load_structure, zmod_ring
 from meadows.cli import main
 
 
@@ -296,6 +296,19 @@ class TestClassify:
         assert "7\t7\t7\tyes\tyes" in lines
         assert "1\t1\t1\tyes\tno" in lines
 
+    def test_bound_past_the_table_limit_refuses_up_front(
+        self, capsys, monkeypatch
+    ):
+        built = []
+        build = finite_meadows.build_mdk
+        monkeypatch.setattr(
+            finite_meadows, "build_mdk", lambda k: built.append(k) or build(k)
+        )
+        code, out, err = run(capsys, "classify", "--bound", "100000")
+        assert (code, out) == (4, "")
+        assert "Md_1027" in err and "bound" in err
+        assert built == []
+
 
 class TestPlumbing:
     def test_byte_determinism(self, capsys):
@@ -335,3 +348,13 @@ class TestPlumbing:
         code, out, err = run(capsys, "table", spec)
         assert (code, out) == (4, "")
         assert "bound" in err
+
+    @pytest.mark.parametrize("size, want", [("5000", 4), ("-5000", 2)])
+    def test_file_size_is_checked_before_the_rows(
+        self, capsys, tmp_path, size, want
+    ):
+        path = tmp_path / "big.txt"
+        path.write_text(f"name: big\nsize: {size}\nzero: 0\none: 1\nadd:\n")
+        code, out, err = run(capsys, "table", f"file:{path}")
+        assert (code, out) == (want, "")
+        assert ("bound" in err) == (want == 4)

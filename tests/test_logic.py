@@ -2,12 +2,13 @@ import pytest
 
 from meadows import (
     GIL, SEP, ZERO, ONE,
-    ConditionalEquation, Equation, ParseError,
+    ConditionalEquation, Disequation, Equation, ParseError,
     UnsupportedPremise, Var,
     build_mdk, build_prime_field, c_guard, check_conditional, check_equation,
     encode_conditional, eval_term, format_conditional,
     ln_equation, normalize_to_zero, numeral, parse_conditional,
-    parse_equation, parse_formula, sub, u_merge, z_term,
+    parse_equation, parse_formula, sample_check_conditional, sub, u_merge,
+    z_term,
 )
 from meadows.terms import Add, Inv, Mul, Neg
 
@@ -44,6 +45,23 @@ class TestParsing:
     def test_disequation_not_an_equation(self):
         with pytest.raises(ParseError):
             parse_equation("x != y")
+
+    def test_bare_equation_texts_parse_as_equations(self):
+        # parse_formula reads every formula with the conditional grammar;
+        # on a bare equation it must agree with parse_equation, errors too.
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except ParseError as exc:
+                return str(exc), exc.position
+
+        texts = [
+            "x = y", " x*(x*x^-1)=x ", "inv(inv(x)) = x", "50 = 2",
+            "-x = (0 - x)", "", "x", "x =", "= y", "x = y z", "x = y)",
+            "(x = y", "x == y", "x = y^-2", "x = y = z", "x = 1/", "X = y",
+        ]
+        for text in texts:
+            assert outcome(parse_formula, text) == outcome(parse_equation, text)
 
     def test_format_round_trips(self):
         for text in (
@@ -141,6 +159,23 @@ class TestEncode:
         encoded = encode_conditional(parse_conditional("x*y = 1 -> x^-1 = y"))
         for s in battery:
             assert check_equation(s, encoded).holds, s.name
+
+
+class TestOneShape:
+    def test_atom_is_a_premise_free_formula(self):
+        for atom in (Equation(X, Y), Disequation(X, Y)):
+            assert atom.premises == () and atom.conclusion is atom
+        assert Equation(X, Y) != Disequation(X, Y)
+
+    def test_bare_disequation(self):
+        sep = Disequation(ZERO, ONE)
+        assert check_conditional(Z5, sep).holds
+        verdict = check_conditional(build_mdk(1), sep)
+        assert not verdict.holds and verdict.witness == {}
+        assert sample_check_conditional(sep, 10).holds
+        assert format_conditional(sep) == "0 != 1"
+        with pytest.raises(UnsupportedPremise):
+            encode_conditional(sep)
 
 
 class TestCheckConditional:

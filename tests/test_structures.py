@@ -19,10 +19,11 @@ from meadows import (
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
     load_structure, local_unit, numeral, parse_equation, parse_term,
     principal_ideal, product, product_coords, product_index,
-    parse_conditional, random_conditional, satisfies_iel, subalgebra_generated,
+    parse_conditional, random_conditional, sample_check_conditional,
+    satisfies_iel, subalgebra_generated,
     unit_of, zmod_ring,
 )
-from meadows.logic import ConditionalEquation, Equation
+from meadows.logic import Equation
 from meadows.terms import Add, Inv, Mul, Neg, Var, term_size
 
 MD6 = build_mdk(6)
@@ -36,8 +37,6 @@ TRIVIAL = build_mdk(1)
 def brute_force(s, formula):
     """The least falsifying assignment by eval_term over itertools.product,
     variables in sorted order: the oracle for the bulk checker."""
-    if isinstance(formula, Equation):
-        formula = ConditionalEquation((), formula)
     variables = sorted(formula.variables())
 
     def holds(atom, a):
@@ -254,12 +253,15 @@ class TestCheckEquation:
         assert peak < 2 * structures_module._BLOCK_BYTES
 
     @pytest.mark.parametrize(
-        "check", [brute_force, check_equation], ids=["scalar", "bulk"]
+        "check",
+        [brute_force, check_equation,
+         lambda s, formula: sample_check_conditional(formula, 20)],
+        ids=["scalar", "bulk", "rationals"],
     )
     def test_check_leaves_no_cyclic_garbage(self, check):
         # Reference counting alone must free each evaluator: eval_term over
-        # every assignment, and the bulk checker with its memo of full-grid
-        # arrays.
+        # every assignment, the bulk checker with its memo of full-grid
+        # arrays, and eval_rational at every sampled point.
         gc.collect()
         gc.disable()
         try:
@@ -305,8 +307,6 @@ class TestFieldFactors:
         monkeypatch.setattr(structures_module, "_search", search_spy)
 
         def check(s, formula):
-            if isinstance(formula, Equation):
-                formula = ConditionalEquation((), formula)
             # Under the 6*n^v bytes of the head slot and the two masks, and
             # still blocks of several values on the larger carriers.
             budget = 4 * s.size ** max(len(formula.variables()) - 1, 0)
