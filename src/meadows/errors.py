@@ -36,7 +36,7 @@ class NoFiniteCharacteristic(MeadowError):
 
 
 class SizeOverflow(MeadowError):
-    """A requested carrier would exceed the configured size bound."""
+    """A requested carrier or literal would exceed its size bound."""
 
 
 class SearchBoundExceeded(MeadowError):

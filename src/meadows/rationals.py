@@ -1,8 +1,8 @@
 """Exact rational arithmetic with a total, zero-totalized inverse.
 
 The inverse of 0 is 0 by definition rather than an error; that is the whole
-point.  Evaluation threads an "unsafe division" flag alongside the value,
-set exactly when some inverse of zero fires during the recursion, so a
+point.  Evaluation reports an "unsafe division" flag alongside the value,
+set exactly when some inverse of zero fires during evaluation, so a
 formal calculation can be classified as safe or unsafe after the fact.
 
 Python integers are arbitrary precision, so every operation is exact and
@@ -15,11 +15,11 @@ import random
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, UnboundVariable
 from .logic import Atom, ConditionalEquation, Equation, encode_conditional
-from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
+from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero, postorder
 
 __all__ = [
     "RationalZT", "EvalTrace", "SampleVerdict",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalZT:
     """A rational in lowest terms with positive denominator; 0 is 0/1."""
 
@@ -125,45 +125,67 @@ class EvalTrace:
     unsafe_division_used: bool
 
 
+class _Program:
+    """The distinct nodes of some terms as straight-line code, from one walk:
+    closed subterms are valued here, once, and ``run`` values the others."""
+
+    def __init__(self, roots: Sequence[Term]):
+        ops = {Add: q_add, Mul: q_mul, Neg: q_neg, Inv: q_inv}
+        slot: dict[int, int] = {}
+        # By slot: the value of a closed subterm, None for the others.
+        self.values: list[RationalZT | None] = []
+        self.variables: list[tuple[int, str]] = []  # (slot, name)
+        self.code: list[tuple] = []  # (slot, op, a, b), b None for - and ^-1
+        self.inverted: list[int] = []  # the slot under each ^-1
+        values = self.values
+        for node in postorder(roots):
+            i = slot[id(node)] = len(values)
+            cls, value = type(node), None
+            if cls is Var:
+                self.variables.append((i, node.name))
+            elif cls is Zero or cls is One:
+                value = Q_ZERO if cls is Zero else Q_ONE
+            elif cls is Add or cls is Mul:
+                a, b = slot[id(node.left)], slot[id(node.right)]
+                if values[a] is None or values[b] is None:
+                    self.code.append((i, ops[cls], a, b))
+                else:
+                    value = ops[cls](values[a], values[b])
+            else:
+                a = slot[id(node.arg)]
+                if cls is Inv:
+                    self.inverted.append(a)
+                if values[a] is None:
+                    self.code.append((i, ops[cls], a, None))
+                else:
+                    value = ops[cls](values[a])
+            values.append(value)
+        self.roots = [slot[id(t)] for t in roots]
+
+    def run(self, binding: Mapping[str, RationalZT]) -> list:
+        """The value of every slot at binding; the list is reused by the
+        next run."""
+        values = self.values
+        for i, name in self.variables:
+            try:
+                values[i] = binding[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        for i, op, a, b in self.code:
+            values[i] = op(values[a]) if b is None else op(values[a], values[b])
+        return values
+
+
 def eval_rational(
     t: Term, binding: Mapping[str, RationalZT] | None = None
 ) -> EvalTrace:
     """Evaluate exactly; the flag records whether 0^-1 was ever taken."""
-    b = binding or {}
-
-    def rec(node: Term) -> tuple[RationalZT, bool]:
-        match node:
-            case Zero():
-                return Q_ZERO, False
-            case One():
-                return Q_ONE, False
-            case Var(name):
-                try:
-                    return b[name], False
-                except KeyError:
-                    raise UnboundVariable(name) from None
-            case Neg(arg):
-                v, u = rec(arg)
-                return q_neg(v), u
-            case Inv(arg):
-                v, u = rec(arg)
-                return q_inv(v), u or v.is_zero()
-            case Add(l, r):
-                v1, u1 = rec(l)
-                v2, u2 = rec(r)
-                return q_add(v1, v2), u1 or u2
-            case Mul(l, r):
-                v1, u1 = rec(l)
-                v2, u2 = rec(r)
-                return q_mul(v1, v2), u1 or u2
-            case _:  # pragma: no cover
-                raise TypeError(f"not a term: {node!r}")
-
-    # rec refers to itself through its closure; drop it so no cycle is left.
-    try:
-        return EvalTrace(*rec(t))
-    finally:
-        del rec
+    program = _Program((t,))
+    values = program.run(binding or {})
+    return EvalTrace(
+        values[program.roots[0]],
+        any(values[a].is_zero() for a in program.inverted),
+    )
 
 
 # --- seeded sampling ---------------------------------------------------------
@@ -215,11 +237,6 @@ def sample_check(eq: Equation, samples: int = 500, seed: int = 0) -> SampleVerdi
     return sample_check_conditional(eq, samples, seed)
 
 
-def _atom_holds(atom, a) -> bool:
-    same = eval_rational(atom.lhs, a).value == eval_rational(atom.rhs, a).value
-    return same if isinstance(atom, Equation) else not same
-
-
 def sample_check_conditional(
     formula: Atom | ConditionalEquation, samples: int = 500, seed: int = 0
 ) -> SampleVerdict:
@@ -230,14 +247,20 @@ def sample_check_conditional(
     points rarely exercise them: a formula with premises, all of them and
     its conclusion equations, is sampled through its encoded equation
     (encode_conditional) instead.  Disequation premises (the guarded laws)
-    are hit constantly, so such a formula is sampled as is.
+    are hit constantly, so such a formula is sampled as is.  The formula is
+    walked once: closed subterms are valued once, and every other distinct
+    node once per sample.
     """
     atoms = (*formula.premises, formula.conclusion)
     if formula.premises and all(isinstance(atom, Equation) for atom in atoms):
-        formula = encode_conditional(formula)
-    for a in sample_assignments(formula.variables(), samples, seed):
-        if not _atom_holds(formula.conclusion, a) and all(
-            _atom_holds(p, a) for p in formula.premises
-        ):
+        atoms = (encode_conditional(formula),)
+    program = _Program([side for atom in atoms for side in (atom.lhs, atom.rhs)])
+    # Each atom holds where its sides are equal exactly when it is an equation.
+    tests = list(zip(program.roots[::2], program.roots[1::2],
+                     [isinstance(atom, Equation) for atom in atoms]))
+    for a in sample_assignments([v for _, v in program.variables], samples, seed):
+        values = program.run(a)
+        holds = [(values[lhs] == values[rhs]) == equal for lhs, rhs, equal in tests]
+        if not holds[-1] and all(holds[:-1]):
             return SampleVerdict(False, a, samples)
     return SampleVerdict(True, None, samples)

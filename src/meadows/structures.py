@@ -18,9 +18,13 @@ values as keep a fresh array for every slot that varies within it, and
 two masks, under the budget.  So the memory of a check stays bounded and
 carriers of a couple hundred elements exhaust well inside interactive
 budgets.  The checker returns the lexicographically least falsifying
-assignment (variables in sorted order), so results are deterministic.  The
-plain recursive ``eval_term`` evaluates single points and is the
-independent oracle the checker is tested against.
+assignment (variables in sorted order), so results are deterministic.
+``eval_term`` evaluates single points by plain structural recursion and is
+the independent oracle the checker is tested against.  It is the one walk
+over terms that still recurses: an oracle is kept as simple as it can be,
+and an iterative one measured slower on the CLI's ``eval``.  So a term
+nested deeper than the interpreter's recursion limit, such as a long sum,
+still exhausts the stack there.
 
 An equation or a quasi-identity (a conditional whose premises are all
 equations) whose grid is too large to evaluate whole is first decided on

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TypeAlias, Union
+from typing import Iterable, TypeAlias, Union
 
-from .errors import ParseError
+from .errors import ParseError, SizeOverflow
 
 __all__ = [
     "Term", "Zero", "One", "Var", "Neg", "Inv", "Add", "Mul",
@@ -23,41 +23,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Zero:
+class _Node:
+    """Base of the term nodes, whose equality, hash and repr walk the term
+    without recursion.  Equal terms have the same tree; Add(x, y) and
+    Mul(x, y) differ by type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        if type(self) is not type(other):
+            return False
+        numbers = _shapes((self, other))[0]
+        return numbers[id(self)] == numbers[id(other)]
+
+    def __hash__(self):
+        return hash(tuple(_shapes((self,))[1]))
+
+    def __repr__(self):
+        return f"parse_term({print_term(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Zero(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class One:
+@dataclass(frozen=True, eq=False, repr=False)
+class One(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     """A variable; names match [a-z][a-z0-9_]* and are case-sensitive."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Inv:
+@dataclass(frozen=True, eq=False, repr=False)
+class Inv(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mul(_Node):
     left: "Term"
     right: "Term"
 
@@ -95,29 +117,63 @@ def numeral(k: int) -> Term:
     return t
 
 
-def free_vars(t: Term) -> set[str]:
-    """The set of variable names occurring in t.
+def _children(node: Term) -> tuple:
+    """The immediate subterms of node, left to right."""
+    cls = type(node)
+    if cls is Add or cls is Mul:
+        return node.left, node.right
+    return (node.arg,) if cls is Neg or cls is Inv else ()
 
-    Each distinct node object is visited once, so a term that shares its
-    subterms (as the encodings do) costs its size as a graph, not as a tree.
-    """
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        match node:
-            case Var(name):
-                out.add(name)
-            case Neg(a) | Inv(a):
-                stack.append(a)
-            case Add(l, r) | Mul(l, r):
-                stack.append(l)
-                stack.append(r)
-    return out
+
+def postorder(roots: Iterable[Term]) -> list[Term]:
+    """Each distinct node (by id) under roots once, children before parents
+    and left before right.  The explicit stack holds the path from a root,
+    so no depth exhausts the interpreter's stack, and a term that shares
+    its subterms costs its size as a graph, not as a tree."""
+    order: list[Term] = []
+    done: set[int] = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            cls = type(node)
+            if cls is Add or cls is Mul:
+                if id(node.left) not in done:
+                    stack.append(node.left)
+                    continue
+                if id(node.right) not in done:
+                    stack.append(node.right)
+                    continue
+            elif (cls is Neg or cls is Inv) and id(node.arg) not in done:
+                stack.append(node.arg)
+                continue
+            stack.pop()
+            if id(node) not in done:
+                done.add(id(node))
+                order.append(node)
+    return order
+
+
+def _shapes(roots: Iterable[Term]) -> tuple[dict[int, int], dict[tuple, int]]:
+    # Number each distinct shape under roots in postorder, so equal subterms
+    # get equal numbers; the shapes, in the order met, spell out the terms.
+    numbers: dict[int, int] = {}
+    shapes: dict[tuple, int] = {}
+    for node in postorder(roots):
+        cls = type(node)
+        if cls is Add or cls is Mul:
+            shape = (cls, numbers[id(node.left)], numbers[id(node.right)])
+        elif cls is Neg or cls is Inv:
+            shape = (cls, numbers[id(node.arg)])
+        else:
+            shape = (cls, getattr(node, "name", None))
+        numbers[id(node)] = shapes.setdefault(shape, len(shapes))
+    return numbers, shapes
+
+
+def free_vars(t: Term) -> set[str]:
+    """The set of variable names occurring in t."""
+    return {node.name for node in postorder((t,)) if type(node) is Var}
 
 
 def substitute(t: Term, binding: dict[str, Term]) -> Term:
@@ -125,30 +181,22 @@ def substitute(t: Term, binding: dict[str, Term]) -> Term:
 
     The signature has no binders, so substitution cannot capture.
     """
-    match t:
-        case Var(name):
-            return binding.get(name, t)
-        case Neg(a):
-            return Neg(substitute(a, binding))
-        case Inv(a):
-            return Inv(substitute(a, binding))
-        case Add(l, r):
-            return Add(substitute(l, binding), substitute(r, binding))
-        case Mul(l, r):
-            return Mul(substitute(l, binding), substitute(r, binding))
-        case _:
-            return t
+    image: dict[int, Term] = {}
+    for node in postorder((t,)):
+        if children := _children(node):
+            new = type(node)(*[image[id(c)] for c in children])
+        else:
+            new = binding.get(node.name, node) if type(node) is Var else node
+        image[id(node)] = new
+    return image[id(t)]
 
 
 def term_size(t: Term) -> int:
     """Number of nodes in the tree."""
-    match t:
-        case Neg(a) | Inv(a):
-            return 1 + term_size(a)
-        case Add(l, r) | Mul(l, r):
-            return 1 + term_size(l) + term_size(r)
-        case _:
-            return 1
+    size: dict[int, int] = {}
+    for node in postorder((t,)):
+        size[id(node)] = 1 + sum(size[id(c)] for c in _children(node))
+    return size[id(t)]
 
 
 # --- concrete syntax ---------------------------------------------------
@@ -167,11 +215,15 @@ def term_size(t: Term) -> int:
 Token = tuple[str, str, int]  # kind, text, position
 
 # The deepest nesting of parentheses, inv(, unary minus signs and postfix
-# ^-1 accepted, counted along each path into the term.  Each level costs the
-# parser up to six interpreter frames, and each ^-1 one frame of eval_term
-# and print_term, so a deeper input would exhaust the stack; no formula
-# written or encoded here nests half this deep.
+# ^-1 accepted, counted along each path into the term.  Two consumers still
+# recurse: this parser, up to six frames per level, and eval_term, one per
+# node on a path, so a deeper input would exhaust the stack; no formula
+# written or encoded here nests half this deep.  Left-deep sums and
+# products are not counted: the parser loops over them.
 _MAX_NESTING = 100
+# A decimal literal k is a sum of k ones, so larger ones are refused.
+_MAX_LITERAL = 10_000
+_MAX_DIGITS = len(str(_MAX_LITERAL))
 
 
 def tokenize(src: str) -> list[Token]:
@@ -270,9 +322,7 @@ class Cursor:
 
 def _literal(k: int) -> Term:
     # Decimal literals are sums of ones: 0, 1, 1+1, (1+1)+1, ...
-    if k == 0:
-        return ZERO
-    t: Term = ONE
+    t: Term = ONE if k else ZERO
     for _ in range(k - 1):
         t = Add(t, ONE)
     return t
@@ -329,7 +379,13 @@ def _atom(cur: Cursor) -> Term:
     tok = cur.advance()
     kind, text, pos = tok
     if kind == "int":
-        return _literal(int(text))
+        digits = text if len(text) <= _MAX_DIGITS else text.lstrip("0") or "0"
+        if len(digits) > _MAX_DIGITS or int(digits) > _MAX_LITERAL:
+            raise SizeOverflow(
+                f"decimal literal at position {pos} is above the bound of "
+                f"{_MAX_LITERAL}"
+            )
+        return _literal(int(digits))
     if kind == "ident":
         if text == "inv":
             cur.expect("(")
@@ -367,33 +423,43 @@ _ADD, _MUL, _UNARY, _POSTFIX, _ATOM = 0, 1, 2, 3, 4
 
 
 def print_term(t: Term) -> str:
-    """Render a Term; parse_term(print_term(t)) == t."""
-    return _show(t, _ADD)
+    """Render a Term; parse_term(print_term(t)) == t.
 
-
-def _show(t: Term, level: int) -> str:
-    match t:
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case Var(name):
-            return name
-        case Inv(a):
-            s = _show(a, _POSTFIX) + "^-1"
-            own = _POSTFIX
-        case Neg(a):
-            s = "-" + _show(a, _UNARY)
-            own = _UNARY
-        case Mul(l, r):
-            s = _show(l, _MUL) + "*" + _show(r, _UNARY)
-            own = _MUL
-        case Add(l, Neg(r)):
-            s = _show(l, _ADD) + "-" + _show(r, _MUL)
-            own = _ADD
-        case Add(l, r):
-            s = _show(l, _ADD) + "+" + _show(r, _MUL)
-            own = _ADD
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
-    return "(" + s + ")" if own < level else s
+    The stack holds what is still to be written, text or a subterm with
+    the level of its context, so the cost is linear in the output.
+    """
+    out: list[str] = []
+    stack: list = [(t, _ADD)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        cls = type(node)
+        if cls is Var:
+            out.append(node.name)
+            continue
+        if cls is Zero or cls is One:
+            out.append("0" if cls is Zero else "1")
+            continue
+        # The parts of the node right to left, as the stack gives them back.
+        if cls is Inv:
+            own, parts = _POSTFIX, ("^-1", (node.arg, _POSTFIX))
+        elif cls is Neg:
+            own, parts = _UNARY, ((node.arg, _UNARY), "-")
+        elif cls is Mul:
+            own, parts = _MUL, ((node.right, _UNARY), "*", (node.left, _MUL))
+        elif cls is Add and type(node.right) is Neg:
+            own, parts = _ADD, ((node.right.arg, _MUL), "-", (node.left, _ADD))
+        elif cls is Add:
+            own, parts = _ADD, ((node.right, _MUL), "+", (node.left, _ADD))
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {node!r}")
+        if own < level:
+            stack.append(")")
+            stack += parts
+            stack.append("(")
+        else:
+            stack += parts
+    return "".join(out)

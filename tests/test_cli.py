@@ -39,6 +39,34 @@ class TestEval:
         code, _, err = run(capsys, "eval", "x+*", "--model", "mdk:6")
         assert code == 2 and err
 
+    def test_long_literal_on_the_rationals(self, capsys):
+        code, out, _ = run(capsys, "eval", "5000", "--model", "q")
+        assert (code, out) == (0, "5000\n")
+
+    @pytest.mark.parametrize("text", ["100000000", "9" * 5000])
+    def test_literal_bound_exit_code(self, capsys, text):
+        code, out, err = run(capsys, "eval", text, "--model", "zp:7")
+        assert (code, out) == (4, "")
+        assert "above the bound of 10000" in err
+
+    # structures.eval_term is the one evaluator that still recurses, so these
+    # fail until it walks iteratively.
+    @pytest.mark.xfail(strict=True, raises=RecursionError)
+    @pytest.mark.parametrize(
+        "term, want", [("5000", "2\n"), ("+".join(["x"] * 3000), "4\n")],
+        ids=["literal", "sum"],
+    )
+    def test_deep_term_on_a_finite_model(self, capsys, term, want):
+        try:
+            code, out, _ = run(
+                capsys, "eval", term, "--model", "zp:7", "--assign", "x=1"
+            )
+        except RecursionError as exc:
+            # Raised again without its thousand frames: pytest compares the
+            # locals of every pair of frames, each pair a deep term equality.
+            raise RecursionError(str(exc)) from None
+        assert (code, out) == (0, want)
+
     def test_leading_minus_after_double_dash(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--model", "zp:7", "--assign", "x=1", "--", "-x"
@@ -99,6 +127,10 @@ class TestCheck:
             "Md_6\tinvalid\t{}\n"
             "# fields: valid\tmeadows: invalid\tagree: no\n",
         )
+
+    def test_long_literal_on_the_rationals(self, capsys):
+        code, out, _ = run(capsys, "check", "5000 = 2", "--model", "q")
+        assert (code, out) == (1, "Q0\tinvalid\t{}\n")
 
     def test_rational_model_row(self, capsys):
         code, out, _ = run(
@@ -231,6 +263,14 @@ class TestEncode:
     def test_bare_equation_is_normalized(self, capsys):
         code, out, _ = run(capsys, "encode", "t=0")
         assert (code, out) == (0, "t-0 = 0\n")
+
+    def test_long_literal(self, capsys):
+        from meadows import encode_conditional, parse_equation
+
+        code, out, _ = run(capsys, "encode", "1500 = 2")
+        assert code == 0
+        assert out.startswith("1+1+1+") and out.endswith("-(1+1) = 0\n")
+        assert parse_equation(out) == encode_conditional(parse_equation("1500 = 2"))
 
     def test_guarded_premise_rejected(self, capsys):
         code, _, err = run(capsys, "encode", "x != 0 -> x*x^-1 = 1")

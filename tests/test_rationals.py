@@ -4,9 +4,11 @@ from hypothesis import given, strategies as st
 from meadows import (
     MD, REF, SIP,
     EvalTrace, ParseError, Q_ONE, Q_ZERO, RationalZT, UnboundVariable,
-    eval_rational, ln_equation, parse_equation, parse_rational, parse_term,
-    q_add, q_inv, q_mul, q_neg, sample_assignments, sample_check,
+    eval_rational, ln_equation, numeral, parse_equation, parse_rational,
+    parse_term, q_add, q_inv, q_mul, q_neg, sample_assignments, sample_check,
+    sample_check_conditional,
 )
+from meadows import rationals as rationals_module
 
 rationals = st.builds(
     RationalZT,
@@ -113,6 +115,23 @@ class TestEvalTrace:
         inner = eval_rational(part, {"x": a})
         assert whole.unsafe_division_used == inner.unsafe_division_used
 
+    @pytest.mark.parametrize(
+        "text, binding, want",
+        [
+            (None, {}, EvalTrace(RationalZT(100_000), False)),
+            ("+".join(["x"] * 3000), {"x": RationalZT(1, 3)},
+             EvalTrace(RationalZT(1000), False)),
+            ("*".join(["x^-1", "y"] * 1500),
+             {"x": RationalZT(-1), "y": Q_ZERO}, EvalTrace(Q_ZERO, False)),
+            ("*".join(["x^-1", "y"] * 1500),
+             {"x": Q_ZERO, "y": RationalZT(-1)}, EvalTrace(Q_ZERO, True)),
+        ],
+        ids=["numeral", "sum", "product", "product-unsafe"],
+    )
+    def test_deep_terms(self, text, binding, want):
+        term = numeral(100_000) if text is None else parse_term(text)
+        assert eval_rational(term, binding) == want
+
     def test_unsafe_union_over_subterms(self):
         t = parse_term("x/x + y/y")
         flags = {
@@ -156,6 +175,21 @@ class TestSampling:
         verdict = sample_check(parse_equation("x*x^-1 = 1"), 500, seed=0)
         assert not verdict.holds
         assert verdict.counterexample == {"x": Q_ZERO}
+
+    def test_closed_subterms_are_valued_once_per_formula(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return q_add(a, b)
+
+        monkeypatch.setattr(rationals_module, "q_add", counted)
+        verdict = sample_check_conditional(
+            parse_equation("x + 30 = 30 + x"), 10, seed=0
+        )
+        assert verdict.holds
+        # 29 additions in each literal, then the two sides at each sample.
+        assert len(calls) == 2 * 29 + 2 * 10
 
     def test_meadow_laws_exact_at_samples(self):
         for name, eq in {**MD, **SIP, **REF}.items():

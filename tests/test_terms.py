@@ -1,10 +1,13 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from meadows import (
-    ONE, ZERO, Add, Inv, Mul, Neg, ParseError, Var,
+    ONE, ZERO, Add, Inv, Mul, Neg, ParseError, SizeOverflow, Var,
     free_vars, numeral, parse_term, print_term, substitute, term_size,
 )
+from meadows.terms import _MAX_LITERAL, postorder
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -77,6 +80,24 @@ class TestParse:
 
     def test_variable_names(self):
         assert parse_term("ab_3") == Var("ab_3")
+
+    def test_literal_bound(self):
+        assert _MAX_LITERAL >= 5000
+        assert term_size(parse_term(f"00{_MAX_LITERAL}")) == 2 * _MAX_LITERAL - 1
+        with pytest.raises(SizeOverflow, match="position 2 "):
+            parse_term(f"x+{_MAX_LITERAL + 1}")
+
+    @pytest.mark.parametrize("text", ["100000000", "9" * 5000])
+    def test_literal_above_the_bound_is_refused_before_it_is_built(self, text):
+        # The second is past Python's limit on int-string conversion.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeOverflow):
+                parse_term(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize(
         "bad", ["x +", "X", "(x", "x)", "x ^- 1", "1 2", "inv x", "?", "x=y"]
@@ -156,3 +177,72 @@ class TestPrint:
     @given(terms)
     def test_round_trip(self, t):
         assert parse_term(print_term(t)) == t
+
+
+# Deep inputs: a literal-sized numeral and left-deep sums and products, each
+# far deeper than the interpreter's recursion limit.
+DEEP = {
+    "numeral": lambda: numeral(100_000),
+    "sum": lambda: parse_term("+".join(["x"] * 3000)),
+    "product": lambda: parse_term("*".join(["x", "y"] * 1500)),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_every_walk_takes_deep_terms(name):
+    t = DEEP[name]()
+    assert term_size(t) == {"numeral": 200_001, "sum": 5999, "product": 5999}[name]
+    assert free_vars(t) == {"numeral": set(), "sum": {"x"}, "product": {"x", "y"}}[name]
+    # Substitution adds one node for each occurrence of x.
+    grown = {"numeral": 0, "sum": 3000, "product": 1500}[name]
+    image = substitute(t, {"x": Inv(Var("z"))})
+    assert term_size(image) == term_size(t) + grown
+    assert free_vars(image) == free_vars(t) - {"x"} | ({"z"} if grown else set())
+    text = print_term(t)
+    assert text.startswith({"numeral": "0+1+1", "sum": "x+x+x", "product": "x*y*x"}[name])
+    copy = parse_term(text)
+    assert copy is not t and {t: 1}[copy] == 1
+    assert copy != Neg(t) and (image == t) == (not grown)
+    assert repr(t) == f"parse_term({text!r})"
+
+
+class TestEquality:
+    def test_types_distinguish_nodes(self):
+        assert Add(X, Y) != Mul(X, Y)
+        assert Neg(X) != Inv(X)
+        assert ZERO != ONE
+        assert Var("x") != "x"
+
+    def test_sharing_does_not_matter(self):
+        shared = Add(X, Y)
+        assert Mul(shared, shared) == Mul(Add(Var("x"), Y), Add(X, Var("y")))
+        assert hash(Mul(shared, shared)) == hash(Mul(Add(X, Y), Add(X, Y)))
+        assert Add(X, Y) != Add(Y, X)
+
+    @given(terms, terms)
+    def test_agrees_with_text(self, s, t):
+        assert (s == t) == (print_term(s) == print_term(t))
+        if s == t:
+            assert hash(s) == hash(t)
+
+
+class TestPostorder:
+    def test_distinct_nodes_children_first(self):
+        shared = Mul(X, Inv(X))
+        t = Add(shared, Neg(shared))
+        order = postorder((t, shared))
+        assert [print_term(n) for n in order] == [
+            "x", "x^-1", "x*x^-1", "-(x*x^-1)", "x*x^-1-x*x^-1"
+        ]
+
+    @given(terms)
+    def test_each_node_once_after_its_children(self, t):
+        order = postorder((t, t))
+        seen = set()
+        for node in order:
+            for child in vars(node).values():
+                if not isinstance(child, str):
+                    assert id(child) in seen
+            assert id(node) not in seen
+            seen.add(id(node))
+        assert order[-1] is t

@@ -6,10 +6,11 @@
 Each pair runs ``perfbench/run.py --workload <w> --seed <s> --seconds <t>
 --trace 0`` once in each checkout, one run at a time, with the same seed on
 both sides; even pairs run the parent first.  Pair i uses seed
-first_seed + i.  The end-to-end metrics are the ones ``BENCHMARK.json`` of
-the change declares.  The output keeps every run's value, and per side the
-median and quartiles; ``change_wins`` counts the pairs in which the change
-read better.  A run that exits non-zero is kept in ``failed_runs`` with its
+first_seed + i.  The run length ``<t>`` and the end-to-end metrics are the
+ones ``BENCHMARK.json`` of the change declares, unless ``--seconds`` is
+given.  The output keeps every run's value, and per side the median and
+quartiles; ``change_wins`` counts the pairs in which the change read
+better.  A run that exits non-zero is kept in ``failed_runs`` with its
 side, seed, exit code and the tail of its stderr, and the pairs go on; its
 value is null, and only pairs with both runs count towards the wins.  An
 existing output file is updated workload by workload, so workloads can be
@@ -90,12 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--first-seed", type=int, default=1001)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"] if args.seconds is None else args.seconds
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report.update({
         "what": WHAT,
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": importlib.metadata.version("numpy"),
         },
-        "run_seconds": args.seconds,
+        "run_seconds": seconds,
     })
     for workload in args.workload:
         seeds = [args.first_seed + i for i in range(args.pairs)]
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
         failed = []
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run(checkouts[side], workload, seed, args.seconds)
+                result = run(checkouts[side], workload, seed, seconds)
                 if isinstance(result, tuple):
                     code, stderr = result
                     failed.append({"side": side, "seed": seed, "exit_code": code,
