@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -41,7 +41,7 @@ from .structures import (
     FiniteStructure, dump_structure, eval_term, load_structure, product,
 )
 from .suites import battery_check
-from .terms import parse_term
+from .terms import parse_term, term_size
 from .vnr import expand_to_meadow
 
 __all__ = ["main"]
@@ -203,8 +203,20 @@ def cmd_table(model_spec: str) -> tuple[str, int]:
     return dump_structure(model), 0
 
 
+# The encoding shares its subterms but prints as a tree, in which k
+# premises occur 4^(k-1) times over (u_merge uses each side four times).
+# This many nodes print to about 3 MB, at nine premises; 15 would be 11 GB.
+_MAX_PRINTED_NODES = 1 << 21
+
+
 def cmd_encode(formula_text: str) -> tuple[str, int]:
     encoded = encode_conditional(parse_formula(formula_text))
+    nodes = term_size(encoded.lhs) + term_size(encoded.rhs)
+    if nodes > _MAX_PRINTED_NODES:
+        raise SizeOverflow(
+            f"the encoding has {nodes} nodes, above the bound of "
+            f"{_MAX_PRINTED_NODES} that encode prints"
+        )
     return format_equation(encoded) + "\n", 0
 
 
@@ -213,10 +225,7 @@ def cmd_expand(path_text: str) -> tuple[str, int]:
         text = Path(path_text).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path_text}: {exc}", 0) from None
-    ring = load_structure(text)
-    if ring.inv is not None:
-        ring = replace(ring, inv=None)
-    return dump_structure(expand_to_meadow(ring)), 0
+    return dump_structure(expand_to_meadow(load_structure(text))), 0
 
 
 def cmd_decompose(model_spec: str) -> tuple[str, int]:

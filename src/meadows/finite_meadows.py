@@ -18,16 +18,17 @@ same modulus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DecompositionNotFound, MissingInverseTable, NotAMeadow, NotPrime,
-    UniquenessViolated,
+    SizeOverflow, UniquenessViolated,
 )
 from .structures import (
-    FiniteStructure, Homomorphism, _arrays, characteristic,
+    MAX_TABLE_ENTRIES, FiniteStructure, Homomorphism, characteristic,
     check_table_bound, generating_set, idempotents, is_minimal,
     principal_ideal, product,
 )
@@ -78,19 +79,24 @@ def distinct_primes(k: int) -> list[int]:
 
 def radical(k: int) -> int:
     """Product of the distinct primes of k; radical(1) = 1."""
-    r = 1
-    for p in distinct_primes(k):
-        r *= p
-    return r
+    return math.prod(distinct_primes(k))
 
 
 def is_squarefree(k: int) -> bool:
     return k >= 1 and radical(k) == k
 
 
+# The largest carrier whose tables fit MAX_TABLE_ENTRIES, and the product of
+# the primes up to it.  The constructors check the bound before any trial
+# division, whose time grows with the square root of the modulus.
+_MAX_CARRIER = math.isqrt(MAX_TABLE_ENTRIES)
+_SMALL_PRIMES = math.prod(p for p in range(_MAX_CARRIER + 1) if is_prime(p))
+
+
 def build_prime_field(p: int) -> FiniteStructure:
     """The zero-totalized prime field Z_p: mod-p tables with 0^-1 = 0, which
     are the tables of Md_p."""
+    check_table_bound(max(p, 1), f"Z_{p}")  # is_prime refuses p < 2 at once
     if not is_prime(p):
         raise NotPrime(p)
     return _modular_meadow(p, f"Z_{p}")
@@ -100,7 +106,14 @@ def build_mdk(k: int) -> FiniteStructure:
     """The minimal meadow of characteristic radical(k), on Z/radical(k)."""
     if k < 1:
         raise ValueError("k must be positive")
-    r = radical(k)
+    # radical(k) without trial division: r collects the primes of k up to
+    # the carrier bound, and what is left of k once they are divided out
+    # has only larger primes.
+    r, rest = math.gcd(k, _SMALL_PRIMES), k
+    while (common := math.gcd(rest, r)) > 1:
+        rest //= common
+    if rest > 1:
+        raise SizeOverflow(f"radical(k) has a prime above the bound of {_MAX_CARRIER}")
     return _modular_meadow(r, f"Md_{r}")
 
 
@@ -128,7 +141,8 @@ def _modular_meadow(r: int, name: str) -> FiniteStructure:
 
 
 def mdk_descriptor(k: int) -> MeadowDescriptor:
-    return MeadowDescriptor("mdk", (k, radical(k)), build_mdk(k))
+    s = build_mdk(k)  # on Z/radical(k), bounded before any trial division
+    return MeadowDescriptor("mdk", (k, s.size), s)
 
 
 def inverse_by_power_cycle(n: int, k: int) -> int:
@@ -232,12 +246,15 @@ def build_galois_field(p: int, m: int) -> FiniteStructure:
     modulus), so digit j of a*b is sum_i a_i * (x^i * b)_j mod p.  The
     inverse of a != 0 is the b with a*b = 1, and 0^-1 = 0.
     """
-    if not is_prime(p):
-        raise NotPrime(p)
     if m < 1:
         raise ValueError("degree must be positive")
+    # Before the trial division, and without p^m in full: for p >= 2,
+    # p^m exceeds the bound once m reaches its bit length.
+    if p > 1 and (m >= _MAX_CARRIER.bit_length() or p**m > _MAX_CARRIER):
+        raise SizeOverflow(f"GF({p}^{m}) is above the bound of {_MAX_CARRIER} elements")
+    if not is_prime(p):
+        raise NotPrime(p)
     n = p**m
-    check_table_bound(n, f"GF({p}^{m})")
     modulus = least_irreducible(p, m)
     digits = _digits(n, p, m)
     weights = np.int32(p) ** np.arange(m, dtype=np.int32)
@@ -275,9 +292,8 @@ def build_galois_field(p: int, m: int) -> FiniteStructure:
 
 
 def galois_descriptor(p: int, m: int) -> MeadowDescriptor:
-    return MeadowDescriptor(
-        "galois_field", (p, m, least_irreducible(p, m)), build_galois_field(p, m)
-    )
+    field_ = build_galois_field(p, m)  # bounds p^m before least_irreducible
+    return MeadowDescriptor("galois_field", (p, m, least_irreducible(p, m)), field_)
 
 
 # --- decomposition into fields ---------------------------------------------
@@ -307,7 +323,7 @@ def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
     if p**m != n:
         raise DecompositionNotFound(f"ideal of {e} has size {n}, not p^m")
     field_ = build_prime_field(p) if m == 1 else build_galois_field(p, m)
-    add, mul, _, _ = _arrays(ring)
+    add, mul = ring._add, ring._mul
     numerals = np.full(p, ring.zero, dtype=np.int32)  # c |-> c*1 in F
     for c in range(1, p):
         numerals[c] = add[numerals[c - 1], ring.one]
@@ -350,17 +366,17 @@ def decompose(s: FiniteStructure) -> Decomposition:
     isomorphism onto the canonical field of that size.  Any input that is
     not a non-trivial meadow raises DecompositionNotFound.
     """
-    if s.inv is None:
+    if s._inv is None:
         raise MissingInverseTable(f"{s.name} has no inverse table")
     if s.zero == s.one:
         raise DecompositionNotFound(
             "the one-element meadow has no nonzero idempotent, so no field"
         )
-    nonzero = [e for e in idempotents(s) if e != s.zero]
-    primitive = [
-        e for e in nonzero
-        if not any(f != e and s.mul[f][e] == f for f in nonzero)
-    ]
+    idem = np.array(idempotents(s), dtype=np.int32)
+    nonzero = idem[idem != s.zero]
+    # under[f, e]: f*e = f.  A primitive e has only itself under it.
+    under = s._mul[nonzero[:, None], nonzero] == nonzero[:, None]
+    primitive = nonzero[under.sum(axis=0) == 1].tolist()
     try:
         components = tuple(sorted(
             (_field_component(s, e) for e in primitive),

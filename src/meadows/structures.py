@@ -3,7 +3,12 @@
 The carrier is always {0, ..., n-1}; names for elements belong to file
 formats and front ends, not to the tables.  Structures are immutable after
 construction and all checkers are pure, so everything here can be shared
-freely between threads.
+freely between threads.  Each table is stored once, as a validated
+read-only int32 array, and the package reads nothing else: whole tables
+through numpy, single entries as plain ints.  The tuple views ``add``,
+``mul``, ``neg`` and ``inv`` are built only when a reader outside the
+package asks for one; they stay until the benchmark's ``Workload.keep``
+can compare arrays.
 
 Equation checking is exhaustive.  Each formula is compiled once, by one
 iterative walk over its distinct nodes, into a straight-line program of
@@ -118,7 +123,29 @@ def _int32(values, shape, bound, shape_error, range_error) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+class _TupleView:
+    """A table as tuples of ints, for readers outside this package: built
+    from the structure's array on first read and kept on the structure,
+    where it shadows this descriptor.  Read on the class, it is the field's
+    default, which only inv has."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, s, owner=None):
+        if s is None:
+            if self.name != "inv":
+                raise AttributeError(self.name)
+            return None
+        table = getattr(s, "_" + self.name)
+        view = None if table is None else tuple(
+            tuple(row) if table.ndim == 2 else row for row in table.tolist()
+        )
+        object.__setattr__(s, self.name, view)
+        return view
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteStructure:
     """Operation tables for {0, 1, +, -, *} and optionally ^-1.
 
@@ -126,16 +153,21 @@ class FiniteStructure:
     for raw rings that have not (or cannot) be expanded with an inverse.
     ``zero == one`` is allowed: the one-element structure is a meadow, just
     not a non-trivial one.
+
+    Each table is stored once, as the owned read-only int32 array ``_add``,
+    ``_mul``, ``_neg`` or ``_inv`` (None without an inverse); ``add`` and
+    the others are tuple views of them for readers outside the package.
+    Structures are equal when their names, sizes, constants and tables are.
     """
 
     name: str
     size: int
     zero: int
     one: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
-    inv: tuple[int, ...] | None = None
+    add: tuple[tuple[int, ...], ...] = _TupleView()
+    mul: tuple[tuple[int, ...], ...] = _TupleView()
+    neg: tuple[int, ...] = _TupleView()
+    inv: tuple[int, ...] | None = _TupleView()
 
     def __post_init__(self):
         n = self.size
@@ -143,39 +175,40 @@ class FiniteStructure:
             raise ValueError("carrier must be non-empty")
         if not (0 <= self.zero < n and 0 <= self.one < n):
             raise ValueError("constants outside carrier")
-        arrays = []
-        for label in ("add", "mul"):
-            table = _int32(
-                getattr(self, label), (n, n), n,
-                f"{label} table is not {n}x{n}",
-                f"{label} table entry outside carrier",
-            )
-            # Row by row, so no list of all n*n Python ints is built at once.
-            rows = tuple(tuple(row.tolist()) for row in table)
-            object.__setattr__(self, label, rows)
-            arrays.append(table)
-        for label in ("neg", "inv"):
-            row = getattr(self, label)
-            if row is not None:
+        # object.__delattr__ and __setattr__ rather than __dict__, which
+        # would turn the instance's attributes into a plain dict that every
+        # attribute read in the checker then pays for.
+        for label in ("add", "mul", "neg", "inv"):
+            table = getattr(self, label)
+            object.__delattr__(self, label)
+            if label in ("add", "mul"):
+                table = _int32(
+                    table, (n, n), n,
+                    f"{label} table is not {n}x{n}",
+                    f"{label} table entry outside carrier",
+                )
+            elif table is not None:
                 message = f"{label} row is not a map on the carrier"
-                row = _int32(row, (n,), n, message, message)
-                object.__setattr__(self, label, tuple(row.tolist()))
-            arrays.append(row)
-        # The validated arrays serve as the numpy views of the tables.
-        object.__setattr__(self, "_np_cache", tuple(arrays))
+                table = _int32(table, (n,), n, message, message)
+            object.__setattr__(self, "_" + label, table)
 
-    @property
-    def has_inv(self) -> bool:
-        return self.inv is not None
+    def _key(self):
+        # Equality and hashing compare the tables as bytes, which are equal
+        # exactly when equally sized arrays are.
+        tables = (self._add, self._mul, self._neg, self._inv)
+        return (self.name, self.size, self.zero, self.one,
+                *(None if t is None else t.tobytes() for t in tables))
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteStructure):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FiniteStructure({self.name!r}, size={self.size})"
-
-
-def _arrays(s: FiniteStructure):
-    # Read-only int32 views of the add, mul, neg and inv tables, kept from
-    # validation, for the bulk evaluator and the table operations.
-    return s._np_cache
 
 
 # --- evaluation ----------------------------------------------------------
@@ -199,17 +232,17 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
                     raise ValueError(f"assignment {name}={v} outside carrier")
                 return v
             case Neg(arg):
-                return s.neg[rec(arg)]
+                return s._neg.item(rec(arg))
             case Inv(arg):
-                if s.inv is None:
+                if s._inv is None:
                     raise MissingInverseTable(
                         f"{s.name} has no inverse table but the term uses ^-1"
                     )
-                return s.inv[rec(arg)]
+                return s._inv.item(rec(arg))
             case Add(l, r):
-                return s.add[rec(l)][rec(r)]
+                return s._add.item(rec(l), rec(r))
             case Mul(l, r):
-                return s.mul[rec(l)][rec(r)]
+                return s._mul.item(rec(l), rec(r))
             case _:  # pragma: no cover
                 raise TypeError(f"not a term: {node!r}")
 
@@ -223,7 +256,7 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
 # A formula is compiled to straight-line code over slots.  Each slot is
 # (op, a, b): a constant (value), a variable (name), neg or inv of slot a,
 # or add or mul of slots a and b.  The binary and unary codes index the
-# tables in the order _arrays returns them.
+# tables in the order add, mul, neg, inv.
 _ADD, _MUL, _NEG, _INV, _VAR, _CONST = range(6)
 
 
@@ -233,15 +266,15 @@ def _compile(s, terms):
     One iterative walk visits each distinct node once, memoised by id, so
     shared subterms cost nothing and no tree is hashed or recursed into.
     Each slot is hash-consed on (op, child slots), and closed subterms fold
-    to constants through the tables.  ``uses[i]`` is the bit mask of the
-    variables of slot i, bit d for ``names[d]``, the d-th variable met; it
-    is 0 exactly for constants.  ``roots`` holds the slot of each term and
-    ``cells`` the grid cells all slots would fill when broadcast.  Meeting
-    ^-1 on a structure without an inverse table raises MissingInverseTable
-    before anything is evaluated.
+    through the tables to constants, plain ints.  ``uses[i]`` is the bit
+    mask of the variables of slot i, bit d for ``names[d]``, the d-th
+    variable met; it is 0 exactly for constants.  ``roots`` holds the slot
+    of each term and ``cells`` the grid cells all slots would fill when
+    broadcast.  Meeting ^-1 on a structure without an inverse table raises
+    MissingInverseTable before anything is evaluated.
     """
     n = s.size
-    tables = (s.add, s.mul, s.neg, s.inv)
+    tables = (s._add, s._mul, s._neg, s._inv)
     ops, uses, names = [], [], []
     consed, memo = {}, {}
     cells = 0
@@ -264,7 +297,7 @@ def _compile(s, terms):
                     continue
                 op, mask = (_ADD if cls is Add else _MUL), uses[a] | uses[b]
             elif cls is Neg or cls is Inv:
-                if cls is Inv and s.inv is None:
+                if cls is Inv and s._inv is None:
                     raise MissingInverseTable(
                         f"{s.name} has no inverse table but the term uses ^-1"
                     )
@@ -281,9 +314,8 @@ def _compile(s, terms):
                 raise TypeError(f"not a term: {node!r}")
             stack.pop()
             if not mask and op < _VAR:
-                row = tables[op][ops[a][1]]
-                a = row if b is None else row[ops[b][1]]
-                op, b = _CONST, None
+                cell = (ops[a][1],) if b is None else (ops[a][1], ops[b][1])
+                a, op, b = tables[op].item(cell), _CONST, None
             key = (op, a, b)
             slot = consed.get(key)
             if slot is None:
@@ -304,7 +336,7 @@ def _broadcast_eval(s, ops, uses, vals, skip, env):
     an int when it is pinned, else its values along its own axis.  Slots
     already filled in, and those that use a variable in the mask skip,
     are left as they are."""
-    tables = _arrays(s)
+    tables = (s._add, s._mul, s._neg, s._inv)
     # An int32 scalar: numpy multiplies arrays by it faster than by an int.
     n = np.int32(s.size)
     for i, (op, a, b) in enumerate(ops):
@@ -380,7 +412,7 @@ def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
     s; () when it searches the grid of s itself, because s has fewer than
     two field components or decompose refuses it.  Computed once per
     structure and kept on it."""
-    factors = s.__dict__.get("_factors")
+    factors = getattr(s, "_factors", None)
     if factors is None:
         components = ()
         # A meadow with c field components has 2^c idempotents.
@@ -454,7 +486,7 @@ def check_axiom_set(
 
 def is_meadow(s: FiniteStructure) -> bool:
     """True when the structure carries an inverse and satisfies all ten meadow laws."""
-    if s.inv is None:
+    if s._inv is None:
         return False
     return all(v.holds for v in check_axiom_set(s, MD).values())
 
@@ -466,7 +498,7 @@ def is_nontrivial(s: FiniteStructure) -> bool:
 
 def is_zt_field(s: FiniteStructure) -> bool:
     """Zero-totalized field: ring laws, guarded inverse law, separation, 0^-1=0."""
-    if s.inv is None:
+    if s._inv is None:
         return False
     # The laws with one variable or none first: a meadow that is not a
     # field already fails GIL, before the three-variable ring laws run.
@@ -480,31 +512,25 @@ def satisfies_iel(s: FiniteStructure) -> bool:
     """Inverse existence: every nonzero x has some y with x*y = 1.
 
     The law has an existential conclusion, so it is checked by scan rather
-    than as a conditional equation.
+    than as a conditional equation, on the whole table at once.
     """
-    return all(
-        any(s.mul[x][y] == s.one for y in range(s.size))
-        for x in range(s.size)
-        if x != s.zero
-    )
+    has_inverse = (s._mul == s.one).any(axis=1)
+    has_inverse[s.zero] = True
+    return bool(has_inverse.all())
 
 
 # --- structural operations ------------------------------------------------
 
 def characteristic(s: FiniteStructure) -> int:
     """Least k > 0 whose numeral evaluates to 0."""
+    plus_one = s._add[:, s.one].tolist()
     acc = s.zero
-    seen = set()
-    for k in range(1, s.size + 2):
-        acc = s.add[acc][s.one]
+    # Within size steps the sums of 1 come back to 0, or never do.
+    for k in range(1, s.size + 1):
+        acc = plus_one[acc]
         if acc == s.zero:
             return k
-        if acc in seen:
-            raise NoFiniteCharacteristic(
-                f"sums of 1 cycle without reaching 0 in {s.name}"
-            )
-        seen.add(acc)
-    raise NoFiniteCharacteristic(f"corrupt add table in {s.name}")  # pragma: no cover
+    raise NoFiniteCharacteristic(f"sums of 1 cycle without reaching 0 in {s.name}")
 
 
 def product_index(coords: Sequence[int], sizes: Sequence[int]) -> int:
@@ -548,26 +574,23 @@ def product(
     check_table_bound(size, "the product")
     radix = np.cumprod([1, *sizes[:-1]], dtype=np.int32)
     coords = (np.arange(size, dtype=np.int32)[:, None] // radix) % np.int32(sizes)
-    add, mul, neg, inv = zip(*(_arrays(f) for f in factors))
 
-    def binary(tables):
-        out = np.zeros((size, size), dtype=np.int32)
-        for c, r, t in zip(coords.T, radix, tables):
-            out += t[c[:, None], c[None, :]] * r
+    def table(label):
+        out = 0
+        for c, r, f in zip(coords.T, radix, factors):
+            t = getattr(f, label)
+            out += t[np.ix_(c, c) if t.ndim == 2 else c] * r
         return out
-
-    def unary(rows):
-        return sum(row[c] * r for c, r, row in zip(coords.T, radix, rows))
 
     return FiniteStructure(
         name=name or "(" + " x ".join(f.name for f in factors) + ")",
         size=size,
         zero=product_index([f.zero for f in factors], sizes),
         one=product_index([f.one for f in factors], sizes),
-        add=binary(add),
-        mul=binary(mul),
-        neg=unary(neg),
-        inv=None if any(row is None for row in inv) else unary(inv),
+        add=table("_add"),
+        mul=table("_mul"),
+        neg=table("_neg"),
+        inv=None if any(f._inv is None for f in factors) else table("_inv"),
     )
 
 
@@ -575,7 +598,6 @@ def _restrict(s: FiniteStructure, elems: np.ndarray, name: str, one: int):
     """The tables of s on the ascending elements elems, re-indexed from 0,
     and the re-indexing (-1 off elems).  ValueError when elems is not
     closed under the operations or lacks the zero."""
-    add, mul, neg, inv = _arrays(s)
     index = np.full(s.size, -1, dtype=np.int32)
     index[elems] = np.arange(elems.size, dtype=np.int32)
     rows, cols = elems[:, None], elems[None, :]
@@ -584,36 +606,41 @@ def _restrict(s: FiniteStructure, elems: np.ndarray, name: str, one: int):
         size=elems.size,
         zero=int(index[s.zero]),
         one=int(index[one]),
-        add=index[add[rows, cols]],
-        mul=index[mul[rows, cols]],
-        neg=index[neg[elems]],
-        inv=None if inv is None else index[inv[elems]],
+        add=index[s._add[rows, cols]],
+        mul=index[s._mul[rows, cols]],
+        neg=index[s._neg[elems]],
+        inv=None if s._inv is None else index[s._inv[elems]],
     )
     return restricted, index
 
 
-def _closure(s: FiniteStructure, seeds: Iterable[int]) -> set[int]:
-    current = {s.zero, s.one} | set(seeds)
-    queue = list(current)
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-
-        def visit(v):
-            if v not in current:
-                current.add(v)
-                queue.append(v)
-
-        visit(s.neg[a])
-        if s.inv is not None:
-            visit(s.inv[a])
-        for b in queue[:qi]:
-            visit(s.add[a][b])
-            visit(s.add[b][a])
-            visit(s.mul[a][b])
-            visit(s.mul[b][a])
-    return current
+def _closure(parts, seeds) -> np.ndarray:
+    """Membership mask, over the product of the carriers of parts, of the
+    least set holding the constants and the seeds and closed under the
+    operations, taken coordinatewise; under ^-1 when every part has it.
+    seeds holds one sequence of coordinates per part.  The set grows
+    frontier by frontier: each round applies the unary tables to the
+    frontier, the points new in the last round, and the binary ones to
+    every pair with a frontier point."""
+    inside = np.zeros([s.size for s in parts], dtype=bool)
+    inside[tuple([s.zero, s.one, *c] for s, c in zip(parts, seeds))] = True
+    unary = [[s._neg for s in parts], [s._inv for s in parts]]
+    binary = [[s._add for s in parts], [s._mul for s in parts]]
+    frontier = inside
+    while frontier.any():
+        new, old = np.nonzero(frontier), np.nonzero(inside)
+        reached = np.zeros_like(inside)
+        for rows in unary:
+            if all(row is not None for row in rows):
+                reached[tuple(row[c] for row, c in zip(rows, new))] = True
+        for tables in binary:
+            for a, b in (new, old), (old, new):
+                reached[tuple(
+                    t[i[:, None], j] for t, i, j in zip(tables, a, b)
+                )] = True
+        frontier = reached & ~inside
+        inside = inside | frontier
+    return inside
 
 
 def subalgebra_generated(
@@ -625,30 +652,31 @@ def subalgebra_generated(
     for e in seeds:
         if not 0 <= e < s.size:
             raise ValueError(f"seed {e} outside carrier")
-    elems = sorted(_closure(s, seeds))
+    elems = np.flatnonzero(_closure((s,), (seeds,)))
     label = f"sub({s.name})" if not seeds else (
         f"sub({s.name};" + ",".join(map(str, seeds)) + ")"
     )
-    sub, _ = _restrict(s, np.array(elems), label, s.one)
-    inclusion = Homomorphism(sub, s, tuple(elems))
+    sub, _ = _restrict(s, elems, label, s.one)
+    inclusion = Homomorphism(sub, s, elems)
     return sub, inclusion
 
 
 def is_minimal(s: FiniteStructure) -> bool:
     """Generated by its constants alone (no proper substructure)."""
-    return len(_closure(s, ())) == s.size
+    return bool(_closure((s,), ((),)).all())
 
 
 def generating_set(s: FiniteStructure) -> list[int]:
-    """A small generating set, greedily extending the closure of {0, 1}.
+    """A small generating set, greedily extending the closure of {0, 1}
+    by its least missing element.
 
     Empty exactly when the structure is minimal.
     """
     gens: list[int] = []
-    closed = _closure(s, ())
-    while len(closed) < s.size:
-        gens.append(min(set(range(s.size)) - closed))
-        closed = _closure(s, gens)
+    closed = _closure((s,), (gens,))
+    while not closed.all():
+        gens.append(int(closed.argmin()))
+        closed = _closure((s,), (gens,))
     return gens
 
 
@@ -672,12 +700,10 @@ class Homomorphism:
         # Every law on the whole table at once.  The error reported is the
         # one a scan of a, then b, would meet first: negation at a before
         # addition, then multiplication, at (a, b); the inverse after those.
-        s_add, s_mul, s_neg, s_inv = _arrays(src)
-        t_add, t_mul, t_neg, t_inv = _arrays(tgt)
         rows, cols = m[:, None], m[None, :]
-        neg_bad = m[s_neg] != t_neg[m]
-        add_bad = m[s_add] != t_add[rows, cols]
-        mul_bad = m[s_mul] != t_mul[rows, cols]
+        neg_bad = m[src._neg] != tgt._neg[m]
+        add_bad = m[src._add] != tgt._add[rows, cols]
+        mul_bad = m[src._mul] != tgt._mul[rows, cols]
         bad_rows = neg_bad | add_bad.any(axis=1) | mul_bad.any(axis=1)
         if bad_rows.any():
             a = int(bad_rows.argmax())
@@ -686,8 +712,8 @@ class Homomorphism:
             b = int((add_bad[a] | mul_bad[a]).argmax())
             law = "addition" if add_bad[a, b] else "multiplication"
             raise ValueError(f"{law} not preserved at ({a},{b})")
-        if s_inv is not None and t_inv is not None:
-            inv_bad = m[s_inv] != t_inv[m]
+        if src._inv is not None and tgt._inv is not None:
+            inv_bad = m[src._inv] != tgt._inv[m]
             if inv_bad.any():
                 raise ValueError(
                     f"inverse not preserved at {int(inv_bad.argmax())}"
@@ -711,68 +737,22 @@ class Homomorphism:
         )
 
 
-def _propagate(src, tgt, gens, images, with_inv):
-    """Force a map from generator images by closing under the operations.
-
-    Returns the full mapping, or None on any conflict.  Every pair of
-    defined elements is combined exactly once, so a returned mapping already
-    commutes with the propagated operations everywhere.
-    """
-    m = [-1] * src.size
-    queue: list[int] = []
-
-    def assign(e, v):
-        if m[e] == -1:
-            m[e] = v
-            queue.append(e)
-            return True
-        return m[e] == v
-
-    if not assign(src.zero, tgt.zero):
-        return None
-    if not assign(src.one, tgt.one):
-        return None
-    for g, img in zip(gens, images):
-        if not assign(g, img):
-            return None
-    qi = 0
-    while qi < len(queue):
-        e = queue[qi]
-        qi += 1
-        if not assign(src.neg[e], tgt.neg[m[e]]):
-            return None
-        if with_inv and not assign(src.inv[e], tgt.inv[m[e]]):
-            return None
-        for d in queue[:qi]:
-            if not assign(src.add[e][d], tgt.add[m[e]][m[d]]):
-                return None
-            if not assign(src.add[d][e], tgt.add[m[d]][m[e]]):
-                return None
-            if not assign(src.mul[e][d], tgt.mul[m[e]][m[d]]):
-                return None
-            if not assign(src.mul[d][e], tgt.mul[m[d]][m[e]]):
-                return None
-    if -1 in m:  # generators failed to generate; cannot happen for our gens
-        return None  # pragma: no cover
-    return m
-
-
 def find_homomorphisms(
     src: FiniteStructure,
     tgt: FiniteStructure,
     require_inv: bool = True,
     search_bound: int = 1_000_000,
 ) -> list[Homomorphism]:
-    """All homomorphisms src -> tgt, by propagating generator images.
+    """All homomorphisms src -> tgt, from the images of a generating set.
 
-    Candidate maps are forced from the images of a generating set, so the
-    search space is |target| ** |generators| rather than all carrier maps.
-    With require_inv the inverse is propagated too (both sides must carry
-    one); without it, candidates are still kept only when they satisfy the
-    Homomorphism invariant, which re-checks the inverse whenever both sides
-    carry one.
+    The search space is |target| ** |generators| rather than all carrier
+    maps.  Each choice of images gives at most one map: the substructure
+    of src x tgt generated by the pairs (generator, image), when it is the
+    graph of a map and that map passes the Homomorphism checks.  The
+    inverse takes part in the closure when both sides carry one;
+    require_inv demands that they do.
     """
-    if require_inv and (src.inv is None or tgt.inv is None):
+    if require_inv and (src._inv is None or tgt._inv is None):
         raise MissingInverseTable("both structures need inverse tables")
     gens = generating_set(src)
     if tgt.size ** len(gens) > search_bound:
@@ -781,26 +761,26 @@ def find_homomorphisms(
         )
     out = []
     for images in itertools.product(range(tgt.size), repeat=len(gens)):
-        m = _propagate(src, tgt, gens, images, require_inv)
-        if m is None:
-            continue
-        try:
-            out.append(Homomorphism(src, tgt, tuple(m)))
-        except ValueError:
-            continue
+        graph = _closure((src, tgt), (gens, images))
+        if (graph.sum(axis=1) == 1).all():
+            try:
+                out.append(Homomorphism(src, tgt, graph.argmax(axis=1)))
+            except ValueError:
+                continue
     return out
 
 
 def idempotents(s: FiniteStructure) -> tuple[int, ...]:
     """All e with e*e = e, ascending."""
-    return tuple(e for e in range(s.size) if s.mul[e][e] == e)
+    squares = s._mul.diagonal()
+    return tuple(np.flatnonzero(squares == np.arange(s.size)).tolist())
 
 
 def unit_of(s: FiniteStructure, x: int) -> int:
     """The local unit x*x^-1 of x."""
-    if s.inv is None:
+    if s._inv is None:
         raise MissingInverseTable(f"{s.name} has no inverse table")
-    return s.mul[x][s.inv[x]]
+    return s._mul.item(x, s._inv.item(x))
 
 
 @dataclass(frozen=True)
@@ -820,19 +800,19 @@ def principal_ideal(s: FiniteStructure, x: int) -> PrincipalIdeal:
     x^-1 and the local unit all lie inside, and that y |-> unit*y maps the
     whole structure onto the ideal.
     """
-    if s.inv is None:
+    if s._inv is None:
         raise MissingInverseTable(f"{s.name} has no inverse table")
     if not 0 <= x < s.size:
         raise ValueError(f"element {x} outside carrier")
-    if s.mul[x][s.mul[x][s.inv[x]]] != x:
-        raise NotAMeadow(f"restricted inverse law fails at {x} in {s.name}")
     e = unit_of(s, x)
-    mul = _arrays(s)[1]
+    mul = s._mul
+    if mul.item(x, e) != x:
+        raise NotAMeadow(f"restricted inverse law fails at {x} in {s.name}")
     # Membership masks over the carrier: np.unique would import numpy.ma.
     of_x, of_e = np.zeros((2, s.size), dtype=bool)
     of_x[mul[x]] = True
     of_e[mul[e]] = True
-    if not np.array_equal(of_e, of_x) or not of_x[[x, e, s.inv[x]]].all():
+    if not np.array_equal(of_e, of_x) or not of_x[[x, e, s._inv[x]]].all():
         raise NotAMeadow(f"{s.name} does not behave like a meadow at {x}")
     elems = np.flatnonzero(of_x)
     try:
@@ -857,16 +837,13 @@ def dump_structure(s: FiniteStructure) -> str:
         f"size: {s.size}",
         f"zero: {s.zero}",
         f"one: {s.one}",
-        "add:",
-        *(" ".join(map(str, row)) for row in s.add),
-        "mul:",
-        *(" ".join(map(str, row)) for row in s.mul),
-        "neg:",
-        " ".join(map(str, s.neg)),
     ]
-    if s.inv is not None:
-        lines.append("inv:")
-        lines.append(" ".join(map(str, s.inv)))
+    tables = {"add": s._add, "mul": s._mul, "neg": s._neg, "inv": s._inv}
+    for label, table in tables.items():
+        if table is not None:
+            # n rows of a binary table, the one row of a unary one.
+            rows = table.reshape(-1, s.size).tolist()
+            lines += [f"{label}:", *(" ".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -923,26 +900,15 @@ def load_structure(text: str) -> FiniteStructure:
         raise FormatError(f"size must not be negative, got {size}", 0)
     check_table_bound(size, f"structure {name!r}")
 
-    def table(key):
-        header = _expect_key(lines, key)
-        rows = []
-        if header:
+    def rows(key, count, what):
+        if _expect_key(lines, key) and key in ("add", "mul"):
             raise FormatError(f"'{key}:' takes no inline value", 0)
-        for _ in range(size):
-            no, content = lines.next(f"a row of the {key} table")
-            rows.append(_int_row(no, content, size))
-        return tuple(rows)
+        return [_int_row(*lines.next(what), size) for _ in range(count)]
 
-    add = table("add")
-    mul = table("mul")
-    _expect_key(lines, "neg")
-    no, content = lines.next("the neg row")
-    neg = _int_row(no, content, size)
-    inv = None
-    if not lines.done():
-        _expect_key(lines, "inv")
-        no, content = lines.next("the inv row")
-        inv = _int_row(no, content, size)
+    add = rows("add", size, "a row of the add table")
+    mul = rows("mul", size, "a row of the mul table")
+    (neg,) = rows("neg", 1, "the neg row")
+    inv = None if lines.done() else rows("inv", 1, "the inv row")[0]
     if not lines.done():
         no, content = lines.next("")
         raise FormatError(f"trailing content {content!r}", no)

@@ -10,7 +10,9 @@ opposite selection order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotAMeadow, NotRegular, UniquenessViolated
 from .logic import REF, RIL
@@ -37,31 +39,32 @@ def zmod_ring(k: int) -> FiniteStructure:
     if k < 1:
         raise ValueError("modulus must be positive")
     check_table_bound(k, f"Z/{k}")
-    idx = list(range(k))
+    idx = np.arange(k, dtype=np.int32)
     return FiniteStructure(
-        name=f"Z/{k}",
-        size=k,
-        zero=0,
-        one=1 % k,
-        add=tuple(tuple((a + b) % k for b in idx) for a in idx),
-        mul=tuple(tuple((a * b) % k for b in idx) for a in idx),
-        neg=tuple((-a) % k for a in idx),
-        inv=None,
+        name=f"Z/{k}", size=k, zero=0, one=1 % k,
+        add=(idx[:, None] + idx) % k, mul=(idx[:, None] * idx) % k,
+        neg=(-idx) % k,
     )
+
+
+def _pseudoinverse_mask(ring: FiniteStructure) -> np.ndarray:
+    # [x, y] is set when x*y*x = x, on the whole table at once.
+    mul = ring._mul
+    idx = np.arange(ring.size)[:, None]
+    return mul[mul, idx] == idx
 
 
 def pseudoinverses(ring: FiniteStructure, x: int) -> list[int]:
     """All y with x*y*x = x, ascending."""
-    mul = ring.mul
-    return [y for y in range(ring.size) if mul[mul[x][y]][x] == x]
+    return np.flatnonzero(ring._mul[ring._mul[x], x] == x).tolist()
 
 
 def is_regular(ring: FiniteStructure) -> RegularityReport:
-    """Scan for an element without a pseudoinverse."""
-    for x in range(ring.size):
-        if not pseudoinverses(ring, x):
-            return RegularityReport(False, x)
-    return RegularityReport(True)
+    """Look for the least element without a pseudoinverse."""
+    regular = _pseudoinverse_mask(ring).any(axis=1)
+    if regular.all():
+        return RegularityReport(True)
+    return RegularityReport(False, int(regular.argmin()))
 
 
 def expand_inverse_table(
@@ -73,15 +76,13 @@ def expand_inverse_table(
     prefer_greatest; by uniqueness of the expansion both give the same
     table, which expand_to_meadow asserts.
     """
-    mul = ring.mul
-    table = []
-    for x in range(ring.size):
-        candidates = pseudoinverses(ring, x)
-        if not candidates:
-            raise NotRegular(x)
-        i = candidates[-1] if prefer_greatest else candidates[0]
-        table.append(mul[mul[i][x]][i])
-    return tuple(table)
+    found = _pseudoinverse_mask(ring)
+    regular = found.any(axis=1)
+    if not regular.all():
+        raise NotRegular(int(regular.argmin()))
+    last, mul = ring.size - 1, ring._mul
+    i = last - found[:, ::-1].argmax(axis=1) if prefer_greatest else found.argmax(axis=1)
+    return tuple(mul[mul[i, np.arange(ring.size)], i].tolist())
 
 
 def expand_to_meadow(ring: FiniteStructure) -> FiniteStructure:
@@ -90,7 +91,8 @@ def expand_to_meadow(ring: FiniteStructure) -> FiniteStructure:
     Raises NotRegular (with the witness element) when some element has no
     pseudoinverse.  The result is checked to satisfy reflection and the
     restricted inverse law; failure there means the input was not a
-    commutative ring in the first place.
+    commutative ring in the first place.  An inverse table the input
+    carries is ignored.
     """
     ascending = expand_inverse_table(ring, prefer_greatest=False)
     descending = expand_inverse_table(ring, prefer_greatest=True)
@@ -98,7 +100,10 @@ def expand_to_meadow(ring: FiniteStructure) -> FiniteStructure:
         raise UniquenessViolated(
             f"pseudoinverse choice leaks into the inverse of {ring.name}"
         )
-    expanded = replace(ring, inv=ascending)
+    expanded = FiniteStructure(
+        ring.name, ring.size, ring.zero, ring.one,
+        ring._add, ring._mul, ring._neg, ascending,
+    )
     for name, verdict in check_axiom_set(expanded, {**REF, **RIL}).items():
         if not verdict.holds:
             raise NotAMeadow(
@@ -113,13 +118,11 @@ def unique_double_pseudoinverse(ring: FiniteStructure, x: int) -> int | None:
     At most one can exist in a commutative ring; two would mean the tables
     are corrupt, which raises UniquenessViolated.
     """
-    mul = ring.mul
-    xx = mul[x][x]
-    hits = [
-        y
-        for y in range(ring.size)
-        if mul[xx][y] == x and mul[mul[y][y]][x] == y
-    ]
+    mul = ring._mul
+    y = np.arange(ring.size)
+    hits = np.flatnonzero(
+        (mul[mul.item(x, x)] == x) & (mul[mul.diagonal(), x] == y)
+    ).tolist()
     if len(hits) > 1:
         raise UniquenessViolated(
             f"elements {hits} are all double pseudoinverses of {x} in {ring.name}"
@@ -131,12 +134,11 @@ def explicit_inverse_check(ring: FiniteStructure) -> bool:
     """Check the explicit definition of inverse against the expansion.
 
     For every x, the set {z*x*z : x*z*x = x} must be a singleton holding
-    exactly the expanded inverse of x.
+    exactly the expanded inverse of x.  Every x has some such z, or the
+    expansion raises NotRegular.
     """
-    table = expand_inverse_table(ring)
-    mul = ring.mul
-    for x in range(ring.size):
-        images = {mul[mul[z][x]][z] for z in pseudoinverses(ring, x)}
-        if images != {table[x]}:
-            return False
-    return True
+    table = np.array(expand_inverse_table(ring))
+    mul = ring._mul
+    z = np.arange(ring.size)
+    images = mul[mul[z, z[:, None]], z]  # [x, z] = z*x*z
+    return bool((~_pseudoinverse_mask(ring) | (images == table[:, None])).all())

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from meadows import dump_structure, finite_meadows, load_structure, zmod_ring
@@ -277,6 +279,15 @@ class TestEncode:
         assert code == 2
         assert "disequation" in err
 
+    def test_oversized_encoding_is_refused_before_printing(self, capsys):
+        # 15 premises would print a tree of 7.2e9 nodes, about 11 GB.
+        premises = " & ".join(f"x{i} = 0" for i in range(15))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", premises + " -> y = 0")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert "bound" in err
+
 
 class TestExpand:
     def test_regular_ring_gets_inverse_row(self, capsys, tmp_path):
@@ -380,14 +391,27 @@ class TestPlumbing:
         assert "bound" in err
 
     @pytest.mark.parametrize(
-        "spec", ["gf:2,11", "prod:zp:13,zp:13,zp:13,zp:13", "mdk:99991"]
+        "spec", [
+            "gf:2,11", "prod:zp:13,zp:13,zp:13,zp:13", "mdk:99991",
+            "mdk:1000000000000000000000000000057",
+            "zp:1000000000000000000000000000057", "gf:2,100000",
+        ],
     )
     def test_table_entry_bound_exit_code(self, capsys, spec):
         # 2048^2, 28561^2 and 99991^2 table entries: refused before any
-        # table is built.
+        # table is built.  The 31-digit moduli are refused before the
+        # trial division that would take hours, and 2^100000 is neither
+        # computed nor written out.
+        start = time.perf_counter()
         code, out, err = run(capsys, "table", spec)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (4, "")
         assert "bound" in err
+
+    def test_huge_modulus_with_a_small_radical(self, capsys):
+        code, out, _ = run(capsys, "table", f"mdk:{2**100}")
+        assert (code, out) == (0, dump_structure(finite_meadows.build_mdk(2)))
+        assert out.startswith("name: Md_2\n")
 
     @pytest.mark.parametrize("size, want", [("5000", 4), ("-5000", 2)])
     def test_file_size_is_checked_before_the_rows(

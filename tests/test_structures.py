@@ -916,7 +916,7 @@ class TestTableValidation:
         add = np.array(Z2.add, dtype=np.int32)
         s = FiniteStructure("Z_2", 2, 0, 1, add, Z2.mul, Z2.neg, Z2.inv)
         add[0, 0] = 1
-        view = structures_module._arrays(s)[0]
+        view = s._add
         assert view.tolist() == [[0, 1], [1, 0]]
         with pytest.raises(ValueError):
             view[0, 0] = 1
