@@ -211,12 +211,17 @@ def least_irreducible(p: int, m: int) -> tuple[int, ...]:
     Candidates x^m + c are ordered by the value of their lower coefficients
     as a base-p number with the x^(m-1) coefficient most significant, i.e.
     lexicographically on descending powers.  Irreducibility is decided by
-    trial division against every monic polynomial of degree up to m/2.
+    trial division against every monic polynomial of degree up to m/2, so
+    the degree, the carrier bound and p are checked first, in that order.
     """
-    if not is_prime(p):
-        raise NotPrime(p)
     if m < 1:
         raise ValueError("degree must be positive")
+    # Without p^m in full: for p >= 2, p^m exceeds the bound once m reaches
+    # its bit length.
+    if p > 1 and (m >= _MAX_CARRIER.bit_length() or p**m > _MAX_CARRIER):
+        raise SizeOverflow(f"GF({p}^{m}) is above the bound of {_MAX_CARRIER} elements")
+    if not is_prime(p):
+        raise NotPrime(p)
     divisor_degrees = range(1, m // 2 + 1)
     for t in range(p**m):
         low = _decode(t, p)
@@ -246,16 +251,8 @@ def build_galois_field(p: int, m: int) -> FiniteStructure:
     modulus), so digit j of a*b is sum_i a_i * (x^i * b)_j mod p.  The
     inverse of a != 0 is the b with a*b = 1, and 0^-1 = 0.
     """
-    if m < 1:
-        raise ValueError("degree must be positive")
-    # Before the trial division, and without p^m in full: for p >= 2,
-    # p^m exceeds the bound once m reaches its bit length.
-    if p > 1 and (m >= _MAX_CARRIER.bit_length() or p**m > _MAX_CARRIER):
-        raise SizeOverflow(f"GF({p}^{m}) is above the bound of {_MAX_CARRIER} elements")
-    if not is_prime(p):
-        raise NotPrime(p)
+    modulus = least_irreducible(p, m)  # checks m, the bound and p first
     n = p**m
-    modulus = least_irreducible(p, m)
     digits = _digits(n, p, m)
     weights = np.int32(p) ** np.arange(m, dtype=np.int32)
     add = np.zeros((n, n), dtype=np.int32)
@@ -292,7 +289,7 @@ def build_galois_field(p: int, m: int) -> FiniteStructure:
 
 
 def galois_descriptor(p: int, m: int) -> MeadowDescriptor:
-    field_ = build_galois_field(p, m)  # bounds p^m before least_irreducible
+    field_ = build_galois_field(p, m)
     return MeadowDescriptor("galois_field", (p, m, least_irreducible(p, m)), field_)
 
 

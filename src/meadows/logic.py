@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedPremise
 from .terms import (
-    ONE, ZERO, Add, Cursor, Inv, Mul, Neg, Term, Var, div, free_vars,
-    local_unit, parse_expr, print_term, sub, tokenize,
+    ONE, ZERO, Add, Cursor, Inv, Mul, Neg, Program, Term, Var, compile_terms,
+    div, local_unit, parse_expr, print_term, sub, tokenize,
 )
 
 __all__ = [
@@ -44,8 +44,25 @@ __all__ = [
 ]
 
 
+class _Formula:
+    @property
+    def program(self) -> Program:
+        """The sides of the conclusion, then of each premise, compiled
+        into one Program on first use and kept."""
+        try:
+            return self._program
+        except AttributeError:
+            atoms = (self.conclusion, *self.premises)
+            program = compile_terms([t for atom in atoms for t in (atom.lhs, atom.rhs)])
+            object.__setattr__(self, "_program", program)
+            return program
+
+    def variables(self) -> set[str]:
+        return {a for kind, a, _ in self.program.shapes if kind is Var}
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Formula):
     """lhs = rhs or lhs != rhs: a formula with no premises, its own
     conclusion.  Only the subclass says which relation holds."""
 
@@ -56,9 +73,6 @@ class Atom:
     @property
     def conclusion(self) -> "Atom":
         return self
-
-    def variables(self) -> set[str]:
-        return free_vars(self.lhs) | free_vars(self.rhs)
 
 
 class Equation(Atom):
@@ -71,17 +85,11 @@ class Disequation(Atom):
 
 
 @dataclass(frozen=True)
-class ConditionalEquation:
+class ConditionalEquation(_Formula):
     """premise_1 & ... & premise_n -> conclusion; n may be 0."""
 
     premises: tuple[Atom, ...]
     conclusion: Atom
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for atom in (*self.premises, self.conclusion):
-            out |= atom.variables()
-        return out
 
 
 # --- concrete syntax ---------------------------------------------------

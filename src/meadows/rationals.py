@@ -15,11 +15,11 @@ import random
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnboundVariable
 from .logic import Atom, ConditionalEquation, Equation, encode_conditional
-from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero, postorder
+from .terms import Add, Inv, Mul, Neg, One, Program, Term, Var, Zero, compile_terms
 
 __all__ = [
     "RationalZT", "EvalTrace", "SampleVerdict",
@@ -126,41 +126,30 @@ class EvalTrace:
 
 
 class _Program:
-    """The distinct nodes of some terms as straight-line code, from one walk:
-    closed subterms are valued here, once, and ``run`` values the others."""
+    """A Program folded over Q0 as straight-line code: closed shapes are
+    valued here, once, and ``run`` values the others."""
 
-    def __init__(self, roots: Sequence[Term]):
+    def __init__(self, program: Program):
         ops = {Add: q_add, Mul: q_mul, Neg: q_neg, Inv: q_inv}
-        slot: dict[int, int] = {}
-        # By slot: the value of a closed subterm, None for the others.
+        # By shape: the value of a closed subterm, None for the others.
         self.values: list[RationalZT | None] = []
-        self.variables: list[tuple[int, str]] = []  # (slot, name)
-        self.code: list[tuple] = []  # (slot, op, a, b), b None for - and ^-1
-        self.inverted: list[int] = []  # the slot under each ^-1
+        self.variables: list[tuple[int, str]] = []  # (shape, name)
+        self.code: list[tuple] = []  # (shape, op, a, b), b None for - and ^-1
+        # The shape under each ^-1.
+        self.inverted = [a for kind, a, _ in program.shapes if kind is Inv]
+        self.roots = program.roots
         values = self.values
-        for node in postorder(roots):
-            i = slot[id(node)] = len(values)
-            cls, value = type(node), None
-            if cls is Var:
-                self.variables.append((i, node.name))
-            elif cls is Zero or cls is One:
-                value = Q_ZERO if cls is Zero else Q_ONE
-            elif cls is Add or cls is Mul:
-                a, b = slot[id(node.left)], slot[id(node.right)]
-                if values[a] is None or values[b] is None:
-                    self.code.append((i, ops[cls], a, b))
-                else:
-                    value = ops[cls](values[a], values[b])
+        for i, (kind, a, b) in enumerate(program.shapes):
+            value = None
+            if kind is Var:
+                self.variables.append((i, a))
+            elif kind is Zero or kind is One:
+                value = Q_ZERO if kind is Zero else Q_ONE
+            elif values[a] is None or b is not None and values[b] is None:
+                self.code.append((i, ops[kind], a, b))
             else:
-                a = slot[id(node.arg)]
-                if cls is Inv:
-                    self.inverted.append(a)
-                if values[a] is None:
-                    self.code.append((i, ops[cls], a, None))
-                else:
-                    value = ops[cls](values[a])
+                value = ops[kind](*[values[c] for c in (a, b) if c is not None])
             values.append(value)
-        self.roots = [slot[id(t)] for t in roots]
 
     def run(self, binding: Mapping[str, RationalZT]) -> list:
         """The value of every slot at binding; the list is reused by the
@@ -180,7 +169,7 @@ def eval_rational(
     t: Term, binding: Mapping[str, RationalZT] | None = None
 ) -> EvalTrace:
     """Evaluate exactly; the flag records whether 0^-1 was ever taken."""
-    program = _Program((t,))
+    program = _Program(compile_terms((t,)))
     values = program.run(binding or {})
     return EvalTrace(
         values[program.roots[0]],
@@ -247,20 +236,21 @@ def sample_check_conditional(
     points rarely exercise them: a formula with premises, all of them and
     its conclusion equations, is sampled through its encoded equation
     (encode_conditional) instead.  Disequation premises (the guarded laws)
-    are hit constantly, so such a formula is sampled as is.  The formula is
-    walked once: closed subterms are valued once, and every other distinct
-    node once per sample.
+    are hit constantly, so such a formula is sampled as is.  Its program is
+    folded once: closed shapes are valued once, and every other shape once
+    per sample.
     """
-    atoms = (*formula.premises, formula.conclusion)
+    atoms = (formula.conclusion, *formula.premises)
     if formula.premises and all(isinstance(atom, Equation) for atom in atoms):
-        atoms = (encode_conditional(formula),)
-    program = _Program([side for atom in atoms for side in (atom.lhs, atom.rhs)])
+        formula = encode_conditional(formula)
+        atoms = (formula,)
+    program = _Program(formula.program)
     # Each atom holds where its sides are equal exactly when it is an equation.
     tests = list(zip(program.roots[::2], program.roots[1::2],
                      [isinstance(atom, Equation) for atom in atoms]))
     for a in sample_assignments([v for _, v in program.variables], samples, seed):
         values = program.run(a)
         holds = [(values[lhs] == values[rhs]) == equal for lhs, rhs, equal in tests]
-        if not holds[-1] and all(holds[:-1]):
+        if not holds[0] and all(holds[1:]):
             return SampleVerdict(False, a, samples)
     return SampleVerdict(True, None, samples)

@@ -10,26 +10,30 @@ through numpy, single entries as plain ints.  The tuple views ``add``,
 package asks for one; they stay until the benchmark's ``Workload.keep``
 can compare arrays.
 
-Equation checking is exhaustive.  Each formula is compiled once, by one
-iterative walk over its distinct nodes, into a straight-line program of
-table lookups with shared subterms merged and closed subterms folded to
-constants.  One search then runs it over the assignment grid with numpy,
-block by block, each block by table lookups over broadcast axes.  A grid
-whose arrays fit a fixed byte budget is a single block.  A larger one is
-searched in blocks of consecutive values of one variable, the variables
-before it pinned value by value: whatever does not use the block's
-variable is hoisted and evaluated once per pin, and a block holds as many
-values as keep a fresh array for every slot that varies within it, and
-two masks, under the budget.  So the memory of a check stays bounded and
-carriers of a couple hundred elements exhaust well inside interactive
-budgets.  The checker returns the lexicographically least falsifying
-assignment (variables in sorted order), so results are deterministic.
-``eval_term`` evaluates single points by plain structural recursion and is
-the independent oracle the checker is tested against.  It is the one walk
-over terms that still recurses: an oracle is kept as simple as it can be,
-and an iterative one measured slower on the CLI's ``eval``.  So a term
-nested deeper than the interpreter's recursion limit, such as a long sum,
-still exhausts the stack there.
+Equation checking is exhaustive.  Each formula is compiled once, in
+``terms``, into its distinct shapes, children first, and keeps that
+program (``formula.program``).  Each structure folds it into
+straight-line code of table lookups: closed subterms become constants
+through the structure's tables, and shapes that fold alike share one
+slot.  So a formula checked on many structures, or on the field factors
+of one, is walked once.  One search then runs the code over the
+assignment grid with numpy, block by block, each block by table lookups
+over broadcast axes.  A grid whose arrays fit a fixed byte budget is a
+single block.  A larger one is searched in blocks of consecutive values
+of one variable, the variables before it pinned value by value: whatever
+does not use the block's variable is hoisted and evaluated once per pin,
+and a block holds as many values as keep a fresh array for every slot
+that varies within it, and two masks, under the budget.  So the memory
+of a check stays bounded and carriers of a couple hundred elements
+exhaust well inside interactive budgets.  The checker returns the
+lexicographically least falsifying assignment (variables in sorted
+order), so results are deterministic.  ``eval_term`` evaluates single
+points by plain structural recursion and is the independent oracle the
+checker is tested against.  It is the one walk over terms that still
+recurses: an oracle is kept as simple as it can be, and an iterative one
+measured slower on the CLI's ``eval``.  So a term nested deeper than the
+interpreter's recursion limit, such as a long sum, still exhausts the
+stack there.
 
 An equation or a quasi-identity (a conditional whose premises are all
 equations) whose grid is too large to evaluate whole is first decided on
@@ -258,76 +262,56 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
 # or add or mul of slots a and b.  The binary and unary codes index the
 # tables in the order add, mul, neg, inv.
 _ADD, _MUL, _NEG, _INV, _VAR, _CONST = range(6)
+_OPS = {Add: _ADD, Mul: _MUL, Neg: _NEG, Inv: _INV}
 
 
-def _compile(s, terms):
-    """Compile terms into one program: (ops, uses, names, roots, cells).
+def _compile(s, program):
+    """Fold a formula's Program on s: (ops, uses, names, roots, cells).
 
-    One iterative walk visits each distinct node once, memoised by id, so
-    shared subterms cost nothing and no tree is hashed or recursed into.
-    Each slot is hash-consed on (op, child slots), and closed subterms fold
-    through the tables to constants, plain ints.  ``uses[i]`` is the bit
-    mask of the variables of slot i, bit d for ``names[d]``, the d-th
-    variable met; it is 0 exactly for constants.  ``roots`` holds the slot
-    of each term and ``cells`` the grid cells all slots would fill when
-    broadcast.  Meeting ^-1 on a structure without an inverse table raises
-    MissingInverseTable before anything is evaluated.
+    The shapes come compiled once per formula (``terms.compile_terms``);
+    this pass does the work that depends on s.  Closed shapes fold through
+    the tables to constants, plain ints, and each slot is hash-consed on
+    (op, child slots), so shapes that fold alike share one.  ``uses[i]`` is
+    the bit mask of the variables of slot i, bit d for ``names[d]``, the
+    d-th variable met; it is 0 exactly for constants.  ``roots`` holds the
+    slot of each root of the program and ``cells`` the grid cells all
+    slots would fill when broadcast.  Meeting ^-1 on a structure without
+    an inverse table raises MissingInverseTable before anything is
+    evaluated.
     """
     n = s.size
     tables = (s._add, s._mul, s._neg, s._inv)
-    ops, uses, names = [], [], []
-    consed, memo = {}, {}
+    ops, uses, names, slots = [], [], [], []
+    consed = {}
     cells = 0
-    for root in terms:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in memo:
-                stack.pop()
-                continue
-            cls = type(node)
-            if cls is Add or cls is Mul:
-                a = memo.get(id(node.left))
-                b = memo.get(id(node.right))
-                if a is None or b is None:
-                    if b is None:
-                        stack.append(node.right)
-                    if a is None:
-                        stack.append(node.left)
-                    continue
-                op, mask = (_ADD if cls is Add else _MUL), uses[a] | uses[b]
-            elif cls is Neg or cls is Inv:
-                if cls is Inv and s._inv is None:
-                    raise MissingInverseTable(
-                        f"{s.name} has no inverse table but the term uses ^-1"
-                    )
-                a = memo.get(id(node.arg))
-                if a is None:
-                    stack.append(node.arg)
-                    continue
-                op, b, mask = (_NEG if cls is Neg else _INV), None, uses[a]
-            elif cls is Var:
-                op, a, b, mask = _VAR, node.name, None, 1 << len(names)
-            elif cls is Zero or cls is One:
-                op, a, b, mask = _CONST, s.zero if cls is Zero else s.one, None, 0
-            else:  # pragma: no cover
-                raise TypeError(f"not a term: {node!r}")
-            stack.pop()
-            if not mask and op < _VAR:
+    for kind, a, b in program.shapes:
+        if kind is Var:
+            op, mask = _VAR, 1 << len(names)
+        elif kind is Zero or kind is One:
+            op, a, mask = _CONST, s.zero if kind is Zero else s.one, 0
+        else:
+            op = _OPS[kind]
+            if op == _INV and s._inv is None:
+                raise MissingInverseTable(
+                    f"{s.name} has no inverse table but the term uses ^-1"
+                )
+            a, b = slots[a], None if b is None else slots[b]
+            mask = uses[a] if b is None else uses[a] | uses[b]
+            if not mask:
                 cell = (ops[a][1],) if b is None else (ops[a][1], ops[b][1])
                 a, op, b = tables[op].item(cell), _CONST, None
-            key = (op, a, b)
-            slot = consed.get(key)
-            if slot is None:
-                slot = consed[key] = len(ops)
-                ops.append(key)
-                uses.append(mask)
-                if op == _VAR:
-                    names.append(a)
-                if mask:
-                    cells += n ** mask.bit_count()
-            memo[id(node)] = slot
-    return ops, uses, names, [memo[id(t)] for t in terms], cells
+        key = (op, a, b)
+        slot = consed.get(key)
+        if slot is None:
+            slot = consed[key] = len(ops)
+            ops.append(key)
+            uses.append(mask)
+            if op == _VAR:
+                names.append(a)
+            if mask:
+                cells += n ** mask.bit_count()
+        slots.append(slot)
+    return ops, uses, names, [slots[r] for r in program.roots], cells
 
 
 def _broadcast_eval(s, ops, uses, vals, skip, env):
@@ -428,20 +412,18 @@ def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
     return factors
 
 
-def _find_falsifier(s, premises, conclusion, certify=True):
+def _find_falsifier(s, formula, certify=True):
     """Least assignment satisfying all premises but not the conclusion.
 
     Returns None when no such assignment exists.  Variables are ordered by
-    name, which fixes the lexicographic order.  The formula is compiled
-    once (_compile) and its grid searched (_search): whole when its slots
-    all fit _BLOCK_BYTES, else in blocks.  A larger grid is not searched
-    when certify is set, every atom is an equation and the formula holds
-    on every field factor of s, each decided on its own grid.
+    name, which fixes the lexicographic order.  The formula's program is
+    folded on s (_compile) and its grid searched (_search): whole when its
+    slots all fit _BLOCK_BYTES, else in blocks.  A larger grid is not
+    searched when certify is set, every atom is an equation and the
+    formula holds on every field factor of s, each decided on its own grid.
     """
-    atoms = (conclusion, *premises)
-    ops, uses, names, roots, cells = _compile(
-        s, [side for atom in atoms for side in (atom.lhs, atom.rhs)]
-    )
+    premises, conclusion = formula.premises, formula.conclusion
+    ops, uses, names, roots, cells = _compile(s, formula.program)
     # tests[0] marks where the conclusion fails, the others where a premise
     # holds; the falsifiers are where every test is true.
     tests = [
@@ -452,12 +434,11 @@ def _find_falsifier(s, premises, conclusion, certify=True):
         tests.append((test, roots[2 * k], roots[2 * k + 1]))
     # The int32 slots and two boolean masks over the grid.
     whole = not names or 4 * cells + 2 * s.size ** len(names) <= _BLOCK_BYTES
-    if not whole and certify and all(isinstance(atom, Equation) for atom in atoms):
+    if not whole and certify and all(
+        isinstance(atom, Equation) for atom in (conclusion, *premises)
+    ):
         factors = field_factors(s)
-        if factors and all(
-            _find_falsifier(f, premises, conclusion, False) is None
-            for f in factors
-        ):
+        if factors and all(_find_falsifier(f, formula, False) is None for f in factors):
             return None
     return _search(s, ops, uses, names, tests, whole)
 
@@ -473,7 +454,7 @@ def check_conditional(
     """Decide a formula: every assignment satisfying the premises must
     satisfy the conclusion.  Premises and conclusion may be disequations;
     an atom has no premises."""
-    witness = _find_falsifier(s, formula.premises, formula.conclusion)
+    witness = _find_falsifier(s, formula)
     return Verdict(witness is None, witness)
 
 

@@ -5,13 +5,18 @@ freely, used as dict keys, and compared for deduplication.  Division and
 binary subtraction exist only in the concrete syntax: ``a/b`` desugars to
 ``a*b^-1`` and ``a-b`` to ``a+(-b)``, keeping the abstract signature exactly
 the five ring symbols plus inverse.
+
+``compile_terms`` hash-conses the distinct shapes of terms, children
+first, into a ``Program``: the one walk that equality, hashing, the term
+functions and every formula's checks read.  Only the printer, the parser
+and the oracle ``structures.eval_term`` walk terms their own way.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, TypeAlias, Union
+from typing import Iterable, NamedTuple, TypeAlias, Union
 
 from .errors import ParseError, SizeOverflow
 
@@ -19,14 +24,14 @@ __all__ = [
     "Term", "Zero", "One", "Var", "Neg", "Inv", "Add", "Mul",
     "ZERO", "ONE",
     "parse_term", "print_term", "numeral", "substitute", "free_vars",
-    "sub", "div", "local_unit", "term_size",
+    "sub", "div", "local_unit", "term_size", "Program", "compile_terms",
 ]
 
 
 class _Node:
     """Base of the term nodes, whose equality, hash and repr walk the term
-    without recursion.  Equal terms have the same tree; Add(x, y) and
-    Mul(x, y) differ by type."""
+    without recursion.  Equal terms have the same tree, so the same root
+    in one Program; Add(x, y) and Mul(x, y) differ by type."""
 
     __slots__ = ()
 
@@ -35,11 +40,11 @@ class _Node:
             return NotImplemented
         if type(self) is not type(other):
             return False
-        numbers = _shapes((self, other))[0]
-        return numbers[id(self)] == numbers[id(other)]
+        roots = compile_terms((self, other)).roots
+        return roots[0] == roots[1]
 
     def __hash__(self):
-        return hash(tuple(_shapes((self,))[1]))
+        return hash(tuple(compile_terms((self,)).shapes))
 
     def __repr__(self):
         return f"parse_term({print_term(self)!r})"
@@ -117,86 +122,90 @@ def numeral(k: int) -> Term:
     return t
 
 
-def _children(node: Term) -> tuple:
-    """The immediate subterms of node, left to right."""
-    cls = type(node)
-    if cls is Add or cls is Mul:
-        return node.left, node.right
-    return (node.arg,) if cls is Neg or cls is Inv else ()
+class Program(NamedTuple):
+    """``shapes[i]`` is ``(kind, a, b)``: the node class, then the indices
+    of the children of an Add or Mul, that of a Neg or Inv and None, the
+    name of a Var and None, or None twice.  Equal subterms share an index,
+    and ``roots[k]`` is that of the k-th term."""
+
+    shapes: list[tuple]
+    roots: list[int]
 
 
-def postorder(roots: Iterable[Term]) -> list[Term]:
-    """Each distinct node (by id) under roots once, children before parents
-    and left before right.  The explicit stack holds the path from a root,
-    so no depth exhausts the interpreter's stack, and a term that shares
-    its subterms costs its size as a graph, not as a tree."""
-    order: list[Term] = []
-    done: set[int] = set()
+def compile_terms(roots: Iterable[Term]) -> Program:
+    """The Program of roots: each shape is numbered when its children are,
+    left before right.  The explicit stack holds both children of a node at
+    once and nodes are memoised by id, so no depth exhausts the interpreter's
+    stack and a shared subterm is walked once."""
+    shapes: dict[tuple, int] = {}
+    memo: dict[int, int] = {}
+    indices: list[int] = []
+    get, cons = memo.get, shapes.setdefault
     for root in roots:
         stack = [root]
+        push, pop = stack.append, stack.pop
         while stack:
             node = stack[-1]
+            if id(node) in memo:
+                pop()
+                continue
             cls = type(node)
             if cls is Add or cls is Mul:
-                if id(node.left) not in done:
-                    stack.append(node.left)
+                a, b = get(id(node.left)), get(id(node.right))
+                if a is None or b is None:
+                    if b is None:
+                        push(node.right)
+                    if a is None:
+                        push(node.left)
                     continue
-                if id(node.right) not in done:
-                    stack.append(node.right)
+                shape = (cls, a, b)
+            elif cls is Neg or cls is Inv:
+                a = get(id(node.arg))
+                if a is None:
+                    push(node.arg)
                     continue
-            elif (cls is Neg or cls is Inv) and id(node.arg) not in done:
-                stack.append(node.arg)
-                continue
-            stack.pop()
-            if id(node) not in done:
-                done.add(id(node))
-                order.append(node)
-    return order
-
-
-def _shapes(roots: Iterable[Term]) -> tuple[dict[int, int], dict[tuple, int]]:
-    # Number each distinct shape under roots in postorder, so equal subterms
-    # get equal numbers; the shapes, in the order met, spell out the terms.
-    numbers: dict[int, int] = {}
-    shapes: dict[tuple, int] = {}
-    for node in postorder(roots):
-        cls = type(node)
-        if cls is Add or cls is Mul:
-            shape = (cls, numbers[id(node.left)], numbers[id(node.right)])
-        elif cls is Neg or cls is Inv:
-            shape = (cls, numbers[id(node.arg)])
-        else:
-            shape = (cls, getattr(node, "name", None))
-        numbers[id(node)] = shapes.setdefault(shape, len(shapes))
-    return numbers, shapes
+                shape = (cls, a, None)
+            elif cls is Var:
+                shape = (cls, node.name, None)
+            elif cls is Zero or cls is One:
+                shape = (cls, None, None)
+            else:
+                raise TypeError(f"not a term: {node!r}")
+            pop()
+            memo[id(node)] = cons(shape, len(shapes))
+        indices.append(memo[id(root)])
+    return Program(list(shapes), indices)
 
 
 def free_vars(t: Term) -> set[str]:
     """The set of variable names occurring in t."""
-    return {node.name for node in postorder((t,)) if type(node) is Var}
+    return {a for kind, a, _ in compile_terms((t,)).shapes if kind is Var}
 
 
 def substitute(t: Term, binding: dict[str, Term]) -> Term:
     """Replace every bound variable by its image; unbound variables stay put.
 
-    The signature has no binders, so substitution cannot capture.
+    The signature has no binders, so substitution cannot capture.  The
+    result shares each of its repeated subterms.
     """
-    image: dict[int, Term] = {}
-    for node in postorder((t,)):
-        if children := _children(node):
-            new = type(node)(*[image[id(c)] for c in children])
+    program = compile_terms((t,))
+    image: list[Term] = []
+    for kind, a, b in program.shapes:
+        if kind is Var:
+            image.append(binding[a] if a in binding else Var(a))
         else:
-            new = binding.get(node.name, node) if type(node) is Var else node
-        image[id(node)] = new
-    return image[id(t)]
+            image.append(kind(*[image[c] for c in (a, b) if c is not None]))
+    return image[program.roots[0]]
 
 
 def term_size(t: Term) -> int:
     """Number of nodes in the tree."""
-    size: dict[int, int] = {}
-    for node in postorder((t,)):
-        size[id(node)] = 1 + sum(size[id(c)] for c in _children(node))
-    return size[id(t)]
+    program = compile_terms((t,))
+    size: list[int] = []
+    for kind, a, b in program.shapes:
+        children = () if kind is Var else [c for c in (a, b) if c is not None]
+        size.append(1 + sum(size[c] for c in children))
+    return size[program.roots[0]]
 
 
 # --- concrete syntax ---------------------------------------------------

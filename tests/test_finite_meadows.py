@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -223,6 +224,17 @@ class TestGaloisFields:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("p, m", [(2, 40), (2, 100000)])
+    def test_least_irreducible_refuses_above_the_bound(self, p, m):
+        # Trial division over 2^40 candidates would not finish.
+        start = time.perf_counter()
+        with pytest.raises(SizeOverflow, match="bound"):
+            least_irreducible(p, m)
+        assert time.perf_counter() - start < 1.0
+
+    def test_least_irreducible_at_the_bound(self):
+        assert least_irreducible(2, 10) == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_table_bound_boundary(self):
         from meadows.structures import check_table_bound

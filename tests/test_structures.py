@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import meadows.logic as logic_module
 import meadows.structures as structures_module
 from meadows import (
     DERIVED_IDENTITIES, GIL, MD, SIP,
@@ -19,7 +20,8 @@ from meadows import (
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
     load_structure, local_unit, numeral, parse_equation, parse_term,
     principal_ideal, product, product_coords, product_index,
-    parse_conditional, random_conditional, sample_check_conditional,
+    battery_check, format_conditional, parse_conditional, parse_formula,
+    random_conditional, sample_check_conditional,
     satisfies_iel, subalgebra_generated,
     unit_of, zmod_ring,
 )
@@ -959,3 +961,53 @@ class TestFileFormat:
     def test_zero_size_rejected(self):
         with pytest.raises(FormatError):
             load_structure("name: e\nsize: 0\nzero: 0\none: 0\nadd:\nmul:\nneg:\n")
+
+
+class TestCompiledOnce:
+    """A formula's program is built on its first check and only folded on
+    every later structure, field factor or battery member."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = logic_module.compile_terms
+
+        def spy(roots):
+            calls.append(list(roots))
+            return build(calls[-1])
+
+        monkeypatch.setattr(logic_module, "compile_terms", spy)
+
+        def count(formula):
+            sides = [t for atom in (formula.conclusion, *formula.premises)
+                     for t in (atom.lhs, atom.rhs)]
+            return sum(
+                len(c) == len(sides) and all(a is b for a, b in zip(c, sides))
+                for c in calls
+            )
+
+        return count
+
+    @staticmethod
+    def fresh(formula):
+        # New terms throughout, so no program is kept from earlier checks.
+        return parse_formula(format_conditional(formula))
+
+    def test_axiom_set_over_ten_structures(self, builds, battery):
+        laws = {name: self.fresh(eq) for name, eq in MD.items()}
+        for s in battery[:10]:
+            check_axiom_set(s, laws)
+        assert [builds(eq) for eq in laws.values()] == [1] * len(MD)
+
+    def test_field_factor_recursion(self, builds):
+        md210 = build_mdk(210)
+        assert len(field_factors(md210)) == 4
+        law = self.fresh(MD["distrib"])
+        assert check_equation(md210, law).holds
+        assert builds(law) == 1
+
+    def test_battery_check_over_four_models(self, builds, battery):
+        formula = self.fresh(DERIVED_IDENTITIES["implicit_inverse"])
+        report = battery_check(formula, battery[:4])
+        assert len(report.rows) == 4 and report.meadows_valid
+        assert builds(formula) == 1

@@ -7,7 +7,7 @@ from meadows import (
     ONE, ZERO, Add, Inv, Mul, Neg, ParseError, SizeOverflow, Var,
     free_vars, numeral, parse_term, print_term, substitute, term_size,
 )
-from meadows.terms import _MAX_LITERAL, postorder
+from meadows.terms import _MAX_LITERAL, Program, compile_terms
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -226,23 +226,58 @@ class TestEquality:
             assert hash(s) == hash(t)
 
 
-class TestPostorder:
-    def test_distinct_nodes_children_first(self):
+def recursive_program(roots):
+    """compile_terms by plain recursion over the trees: each shape numbered
+    when its children are, left before right."""
+    shapes = {}
+
+    def visit(t):
+        if type(t) in (Add, Mul):
+            shape = (type(t), visit(t.left), visit(t.right))
+        elif type(t) in (Neg, Inv):
+            shape = (type(t), visit(t.arg), None)
+        else:
+            shape = (type(t), getattr(t, "name", None), None)
+        return shapes.setdefault(shape, len(shapes))
+
+    roots = [visit(t) for t in roots]
+    return Program(list(shapes), roots)
+
+
+def rebuilt(program):
+    """The term of each shape, by index."""
+    out = []
+    for kind, a, b in program.shapes:
+        if kind in (Add, Mul):
+            out.append(kind(out[a], out[b]))
+        elif kind in (Neg, Inv):
+            out.append(kind(out[a]))
+        else:
+            out.append(Var(a) if kind is Var else kind())
+    return out
+
+
+class TestProgram:
+    def test_distinct_shapes_children_first(self):
         shared = Mul(X, Inv(X))
-        t = Add(shared, Neg(shared))
-        order = postorder((t, shared))
-        assert [print_term(n) for n in order] == [
+        t = Add(shared, Neg(Mul(Var("x"), Inv(Var("x")))))
+        program = compile_terms((t, shared))
+        assert [print_term(n) for n in rebuilt(program)] == [
             "x", "x^-1", "x*x^-1", "-(x*x^-1)", "x*x^-1-x*x^-1"
         ]
+        assert program.roots == [4, 2]
 
-    @given(terms)
-    def test_each_node_once_after_its_children(self, t):
-        order = postorder((t, t))
-        seen = set()
-        for node in order:
-            for child in vars(node).values():
-                if not isinstance(child, str):
-                    assert id(child) in seen
-            assert id(node) not in seen
-            seen.add(id(node))
-        assert order[-1] is t
+    @given(terms, terms)
+    def test_each_shape_once_after_its_children(self, s, t):
+        program = compile_terms((t, s, t))
+        assert program == recursive_program((t, s, t))
+        assert len(set(program.shapes)) == len(program.shapes)
+        for i, (kind, a, b) in enumerate(program.shapes):
+            if kind in (Add, Mul, Neg, Inv):
+                assert a < i and (b is None) == (kind in (Neg, Inv))
+            if kind in (Add, Mul):
+                assert b < i
+        terms_by_index = rebuilt(program)
+        assert [terms_by_index[i] for i in program.roots] == [t, s, t]
+        alone = compile_terms((t,))
+        assert alone.roots == [len(alone.shapes) - 1]

@@ -38,3 +38,29 @@ def test_run_length_defaults_to_the_declared_one(
                       "1", "--out", str(out), *given])
     assert lengths == [want, want]
     assert json.loads(out.read_text())["run_seconds"] == want
+
+
+@pytest.mark.parametrize("better, parent, change, beyond, unresolved", [
+    ("higher", [100, 101, 99, 100], [70, 71, 69, 70], True, False),
+    ("higher", [50, 60, 140, 150], [95, 105, 100, 100], False, True),
+    ("higher", [50, 60, 140, 150], [200, 210, 205, 220], False, False),
+    ("higher", [100, 100, 101, 99], [100, 101, 99, 100], False, False),
+    ("lower", [1.0, 1.0, 1.1, 0.9], [1.5, 1.4, 1.6, 1.5], True, False),
+    ("lower", [1.0, 1.2, 2.8, 3.0], [2.7, 2.8, 2.9, 2.6], True, True),
+])
+def test_each_metric_carries_the_benchmark_judgement(
+    bench_pairs, better, parent, change, beyond, unresolved
+):
+    metric = {"name": "m", "unit": "u", "better": better, "bound": 0.25}
+    runs = {side: [{"metrics": {"m": {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    got = bench_pairs.reduce([metric], runs)["m"]
+    assert got["bound"] == 0.25
+    assert (got["beyond_bound"], got["unresolved"]) == (beyond, unresolved)
+
+
+def test_a_metric_without_a_bound_is_not_judged(bench_pairs):
+    metric = {"name": "m", "unit": "u", "better": "higher"}
+    runs = {side: [{"metrics": {"m": {"value": 1.0}}}] for side in ("parent", "change")}
+    got = bench_pairs.reduce([metric], runs)["m"]
+    assert got["bound"] is None and "beyond_bound" not in got

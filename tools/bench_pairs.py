@@ -10,7 +10,11 @@ first_seed + i.  The run length ``<t>`` and the end-to-end metrics are the
 ones ``BENCHMARK.json`` of the change declares, unless ``--seconds`` is
 given.  The output keeps every run's value, and per side the median and
 quartiles; ``change_wins`` counts the pairs in which the change read
-better.  A run that exits non-zero is kept in ``failed_runs`` with its
+better.  A metric with a ``bound`` in ``BENCHMARK.json`` also carries the
+benchmark's judgement: ``beyond_bound`` when the change median is worse
+than the parent median by more than the bound, and ``unresolved`` when the
+parent's quartile spread exceeds the bound times its median and not every
+change run beats every parent run.  A run that exits non-zero is kept in ``failed_runs`` with its
 side, seed, exit code and the tail of its stderr, and the pairs go on; its
 value is null, and only pairs with both runs count towards the wins.  An
 existing output file is updated workload by workload, so workloads can be
@@ -34,8 +38,11 @@ WHAT = (
     "from its own checkout, written by tools/bench_pairs.py. Pair i uses seed "
     "first_seed+i on both sides; even pairs run the parent first. values holds "
     "each side's runs in pair order; medians and quartiles are over those runs, "
-    "and change_wins counts the pairs in which the change read better. A run "
-    "that exited non-zero is listed in failed_runs and its values are null."
+    "and change_wins counts the pairs in which the change read better. "
+    "beyond_bound: the change median is worse than the parent median by more "
+    "than bound (relative). unresolved: the parent's q3-q1 exceeds bound times "
+    "its median and not every change run beats every parent run. A run that "
+    "exited non-zero is listed in failed_runs and its values are null."
 )
 
 
@@ -80,8 +87,31 @@ def reduce(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
                 stats["change"]["median"] / stats["parent"]["median"], 4
             ) if pairs else None,
             "change_wins": f"{wins}/{len(pairs)}",
+            "bound": metric.get("bound"),
         }
+        if pairs and metric.get("bound") is not None:
+            out[name].update(judge(better, metric["bound"], values, stats))
     return out
+
+
+def judge(better: str, bound: float, values: dict, stats: dict) -> dict:
+    """The benchmark's verdict on one metric.  beyond_bound: the change
+    median is worse than the parent median by more than bound times it.
+    unresolved: the parent's quartile spread exceeds bound times its
+    median, and not every change run beats every parent run."""
+    parent, change = ([v for v in values[side] if v is not None] for side in SIDES)
+    median = stats["parent"]["median"]
+    if better == "higher":
+        worse = median - stats["change"]["median"]
+        every_run_beats = min(change) > max(parent)
+    else:
+        worse = stats["change"]["median"] - median
+        every_run_beats = max(change) < min(parent)
+    return {
+        "beyond_bound": worse > bound * abs(median),
+        "unresolved": stats["parent"]["q3"] - stats["parent"]["q1"] > bound * abs(median)
+        and not every_run_beats,
+    }
 
 
 def main(argv=None) -> int:
