@@ -34,9 +34,7 @@ from .finite_meadows import (
     decompose,
 )
 from .logic import encode_conditional, format_equation, parse_formula
-from .rationals import (
-    RationalZT, eval_rational, parse_rational, sample_check_conditional,
-)
+from .rationals import eval_rational, parse_rational, sample_check_conditional
 from .structures import (
     FiniteStructure, dump_structure, eval_term, load_structure, product,
 )
@@ -113,33 +111,22 @@ def resolve_model(spec: str):
     raise ParseError(f"unknown model reference {spec!r}", 0)
 
 
-def _parse_assignment_int(text: str, s: FiniteStructure) -> dict[str, int]:
-    out: dict[str, int] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        name, _, value = item.partition("=")
-        if not _ or not name:
+def _parse_assignment(text: str, value_of) -> dict:
+    """Comma-separated name=value pairs; value_of(name, text) reads a value."""
+    out = {}
+    for item in text.split(",") if text else ():
+        name, eq, value = item.partition("=")
+        if not eq or not name:
             raise ParseError(f"assignments look like x=2, got {item!r}", 0)
-        v = _int_arg(value.strip(), f"value for {name}")
-        if not 0 <= v < s.size:
-            raise UnboundVariable(
-                f"{name.strip()}={v} is outside the carrier of {s.name}"
-            )
-        out[name.strip()] = v
+        out[name.strip()] = value_of(name.strip(), value)
     return out
 
 
-def _parse_assignment_rational(text: str) -> dict[str, RationalZT]:
-    out: dict[str, RationalZT] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        name, _, value = item.partition("=")
-        if not _ or not name:
-            raise ParseError(f"assignments look like x=2/3, got {item!r}", 0)
-        out[name.strip()] = parse_rational(value)
-    return out
+def _carrier_value(s: FiniteStructure, name: str, text: str) -> int:
+    v = _int_arg(text.strip(), f"value for {name}")
+    if not 0 <= v < s.size:
+        raise UnboundVariable(f"{name}={v} is outside the carrier of {s.name}")
+    return v
 
 
 def _format_witness(witness) -> str:
@@ -154,11 +141,12 @@ def cmd_eval(term_text: str, model_spec: str, assign_text: str) -> tuple[str, in
     term = parse_term(term_text)
     model = resolve_model(model_spec)
     if isinstance(model, RationalModel):
-        trace = eval_rational(term, _parse_assignment_rational(assign_text))
+        binding = _parse_assignment(assign_text, lambda _, text: parse_rational(text))
+        trace = eval_rational(term, binding)
         suffix = " (unsafe)" if trace.unsafe_division_used else ""
         return f"{trace.value}{suffix}\n", 0
-    value = eval_term(term, model, _parse_assignment_int(assign_text, model))
-    return f"{value}\n", 0
+    binding = _parse_assignment(assign_text, functools.partial(_carrier_value, model))
+    return f"{eval_term(term, model, binding)}\n", 0
 
 
 def cmd_check(

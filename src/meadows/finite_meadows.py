@@ -29,8 +29,7 @@ from .errors import (
 )
 from .structures import (
     MAX_TABLE_ENTRIES, FiniteStructure, Homomorphism, characteristic,
-    check_table_bound, generating_set, idempotents, is_minimal,
-    principal_ideal, product,
+    check_table_bound, idempotents, is_minimal, principal_ideal, product,
 )
 
 __all__ = [
@@ -309,9 +308,11 @@ def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
     # The ideal e*s is a field F of size p^m; map it onto the canonical field
     # K = Z/p[x]/(f), f = least_irreducible(p, m).  Each root r of f in F
     # gives the isomorphism sum(c_i x^i) |-> sum(c_i r^i) from K onto F, so
-    # F has m isomorphisms onto K and no search is needed.  Of these, keep
-    # the one with the lexicographically least images of generating_set(F):
-    # the first one a search over generator images would find.
+    # F has m isomorphisms onto K and no search is needed.  Keep the least:
+    # it has the least images of generating_set(F), so it is the one a
+    # search over generator images would find first.  Isomorphisms that
+    # agree on g_0..g_{j-1} agree on all they generate, every element below
+    # g_j included, so two of them first differ at a generator.
     ideal = principal_ideal(s, e)
     ring = ideal.ring
     n = ring.size
@@ -343,8 +344,7 @@ def _field_component(s: FiniteStructure, e: int) -> Homomorphism:
     # The candidates are isomorphisms all or none: F is a field with the
     # zero-totalized inverse or it is not, so checking the first suffices.
     if candidates:
-        gens = generating_set(ring) if len(candidates) > 1 else []
-        back = min(candidates, key=lambda c: c[gens].tolist())
+        back = min(candidates, key=lambda c: c.tolist())
         try:
             return Homomorphism(
                 s, field_, back[np.asarray(ideal.projection.mapping)]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedPremise
 from .terms import (
-    ONE, ZERO, Add, Cursor, Inv, Mul, Neg, Program, Term, Var, compile_terms,
-    div, local_unit, parse_expr, print_term, sub, tokenize,
+    ONE, ZERO, Add, Compiled, Cursor, Inv, Mul, Neg, Term, Var, div,
+    local_unit, parse_expr, print_term, sub, tokenize,
 )
 
 __all__ = [
@@ -44,21 +44,10 @@ __all__ = [
 ]
 
 
-class _Formula:
-    @property
-    def program(self) -> Program:
-        """The sides of the conclusion, then of each premise, compiled
-        into one Program on first use and kept."""
-        try:
-            return self._program
-        except AttributeError:
-            atoms = (self.conclusion, *self.premises)
-            program = compile_terms([t for atom in atoms for t in (atom.lhs, atom.rhs)])
-            object.__setattr__(self, "_program", program)
-            return program
-
-    def variables(self) -> set[str]:
-        return {a for kind, a, _ in self.program.shapes if kind is Var}
+class _Formula(Compiled):
+    def _roots(self):
+        # The sides of the conclusion, then of each premise, in one Program.
+        return [t for a in (self.conclusion, *self.premises) for t in (a.lhs, a.rhs)]
 
 
 @dataclass(frozen=True)

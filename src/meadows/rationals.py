@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnboundVariable
 from .logic import Atom, ConditionalEquation, Equation, encode_conditional
-from .terms import Add, Inv, Mul, Neg, One, Program, Term, Var, Zero, compile_terms
+from .terms import Add, Inv, Mul, Neg, One, Program, Term, Var, Zero
 
 __all__ = [
     "RationalZT", "EvalTrace", "SampleVerdict",
@@ -148,7 +148,8 @@ class _Program:
             elif values[a] is None or b is not None and values[b] is None:
                 self.code.append((i, ops[kind], a, b))
             else:
-                value = ops[kind](*[values[c] for c in (a, b) if c is not None])
+                op = ops[kind]
+                value = op(values[a]) if b is None else op(values[a], values[b])
             values.append(value)
 
     def run(self, binding: Mapping[str, RationalZT]) -> list:
@@ -169,7 +170,7 @@ def eval_rational(
     t: Term, binding: Mapping[str, RationalZT] | None = None
 ) -> EvalTrace:
     """Evaluate exactly; the flag records whether 0^-1 was ever taken."""
-    program = _Program(compile_terms((t,)))
+    program = _Program(t.program)
     values = program.run(binding or {})
     return EvalTrace(
         values[program.roots[0]],

@@ -6,10 +6,10 @@ binary subtraction exist only in the concrete syntax: ``a/b`` desugars to
 ``a*b^-1`` and ``a-b`` to ``a+(-b)``, keeping the abstract signature exactly
 the five ring symbols plus inverse.
 
-``compile_terms`` hash-conses the distinct shapes of terms, children
-first, into a ``Program``: the one walk that equality, hashing, the term
-functions and every formula's checks read.  Only the printer, the parser
-and the oracle ``structures.eval_term`` walk terms their own way.
+``compile_terms`` hash-conses terms into a ``Program`` of distinct shapes,
+children first.  Each term and formula keeps the one it compiles on first
+use (``Compiled.program``), which equality, hashing, the term functions and
+the checks read; only the printer, the parser and ``eval_term`` walk terms.
 """
 
 from __future__ import annotations
@@ -28,23 +28,46 @@ __all__ = [
 ]
 
 
-class _Node:
-    """Base of the term nodes, whose equality, hash and repr walk the term
-    without recursion.  Equal terms have the same tree, so the same root
-    in one Program; Add(x, y) and Mul(x, y) differ by type."""
+class Compiled:
+    """Keeps the Program of ``self._roots()``, compiled on first use."""
 
     __slots__ = ()
+
+    @property
+    def program(self) -> Program:
+        try:
+            return self._program
+        except AttributeError:
+            program = compile_terms(self._roots())
+            object.__setattr__(self, "_program", program)
+            return program
+
+    def variables(self) -> set[str]:
+        return {a for kind, a, _ in self.program.shapes if kind is Var}
+
+
+class _Node(Compiled):
+    """Base of the term nodes.  Equal trees have identical programs (a shape
+    is numbered where it first occurs, and the root's carries the class), so
+    equality compares kept shape lists; the hash is taken from them once."""
+
+    __slots__ = ()
+
+    def _roots(self):
+        return (self,)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        if type(self) is not type(other):
-            return False
-        roots = compile_terms((self, other)).roots
-        return roots[0] == roots[1]
+        return self.program.shapes == other.program.shapes
 
     def __hash__(self):
-        return hash(tuple(compile_terms((self,)).shapes))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(self.program.shapes))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self):
         return f"parse_term({print_term(self)!r})"
@@ -179,7 +202,7 @@ def compile_terms(roots: Iterable[Term]) -> Program:
 
 def free_vars(t: Term) -> set[str]:
     """The set of variable names occurring in t."""
-    return {a for kind, a, _ in compile_terms((t,)).shapes if kind is Var}
+    return t.variables()
 
 
 def substitute(t: Term, binding: dict[str, Term]) -> Term:
@@ -188,24 +211,22 @@ def substitute(t: Term, binding: dict[str, Term]) -> Term:
     The signature has no binders, so substitution cannot capture.  The
     result shares each of its repeated subterms.
     """
-    program = compile_terms((t,))
     image: list[Term] = []
-    for kind, a, b in program.shapes:
+    for kind, a, b in t.program.shapes:
         if kind is Var:
             image.append(binding[a] if a in binding else Var(a))
         else:
             image.append(kind(*[image[c] for c in (a, b) if c is not None]))
-    return image[program.roots[0]]
+    return image[t.program.roots[0]]
 
 
 def term_size(t: Term) -> int:
     """Number of nodes in the tree."""
-    program = compile_terms((t,))
     size: list[int] = []
-    for kind, a, b in program.shapes:
+    for kind, a, b in t.program.shapes:
         children = () if kind is Var else [c for c in (a, b) if c is not None]
         size.append(1 + sum(size[c] for c in children))
-    return size[program.roots[0]]
+    return size[t.program.roots[0]]
 
 
 # --- concrete syntax ---------------------------------------------------

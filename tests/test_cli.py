@@ -31,6 +31,24 @@ class TestEval:
         )
         assert (code, out) == (0, "1\n")
 
+    @pytest.mark.parametrize(
+        "model, assign, want",
+        [
+            ("zp:7", "x=9", (3, "")),
+            ("zp:7", "x", (2, "")),
+            ("zp:7", "=3", (2, "")),
+            ("zp:7", "x=3,", (2, "")),
+            ("zp:7", "x=a", (2, "")),
+            ("zp:7", " x = 3 ", (0, "3\n")),
+            ("q", "x=1/0", (2, "")),
+            ("q", "x", (2, "")),
+            ("q", " x = -2/-3 ", (0, "2/3\n")),
+        ],
+    )
+    def test_assignment_syntax(self, capsys, model, assign, want):
+        code, out, _ = run(capsys, "eval", "x", "--model", model, "--assign", assign)
+        assert (code, out) == want
+
     def test_unbound_variable_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "x+y", "--model", "mdk:6",
                            "--assign", "x=1")

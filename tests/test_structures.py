@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import meadows.logic as logic_module
+import meadows.terms as terms_module
 import meadows.structures as structures_module
 from meadows import (
     DERIVED_IDENTITIES, GIL, MD, SIP,
@@ -970,13 +970,13 @@ class TestCompiledOnce:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        build = logic_module.compile_terms
+        build = terms_module.compile_terms
 
         def spy(roots):
             calls.append(list(roots))
             return build(calls[-1])
 
-        monkeypatch.setattr(logic_module, "compile_terms", spy)
+        monkeypatch.setattr(terms_module, "compile_terms", spy)
 
         def count(formula):
             sides = [t for atom in (formula.conclusion, *formula.premises)

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from meadows import (
     ONE, ZERO, Add, Inv, Mul, Neg, ParseError, SizeOverflow, Var,
-    free_vars, numeral, parse_term, print_term, substitute, term_size,
+    eval_rational, free_vars, numeral, parse_term, print_term, rational,
+    substitute, term_size,
 )
+from meadows import terms as terms_module
 from meadows.terms import _MAX_LITERAL, Program, compile_terms
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -224,6 +226,25 @@ class TestEquality:
         assert (s == t) == (print_term(s) == print_term(t))
         if s == t:
             assert hash(s) == hash(t)
+
+
+def test_a_term_compiles_once(monkeypatch):
+    calls = []
+
+    def spy(roots):
+        calls.append(list(roots))
+        return compile_terms(calls[-1])
+
+    monkeypatch.setattr(terms_module, "compile_terms", spy)
+    t = parse_term("(x+1)*y^-1-x")
+    copy = parse_term("(x+1)*y^-1-x")
+    assert hash(t) == hash(t) == hash(copy)
+    assert t == copy and copy == t
+    assert free_vars(t) == {"x", "y"} and term_size(t) == 9
+    assert substitute(t, {}) == t
+    assert eval_rational(t, {"x": rational(1), "y": rational(2)}).value == rational(0)
+    assert [sum(c[0] is s for c in calls) for s in (t, copy)] == [1, 1]
+    assert all(len(c) == 1 for c in calls)
 
 
 def recursive_program(roots):
