@@ -37,17 +37,23 @@ stack there.
 
 An equation or a quasi-identity (a conditional whose premises are all
 equations) whose grid is too large to evaluate whole is first decided on
-the field factors of the structure.  A finite meadow is a product of
-finite zero-totalized fields, and ``decompose`` validates that: its
+zero-totalized fields.  ``decompose`` certifies them: a structure with one
+field component is isomorphic to that canonical field, and otherwise its
 diagonal is an injective homomorphism, inverse included, into the product
-of its factors.  Such formulas are preserved by products and by
-substructures, so one that holds on every factor holds on the structure,
-and a few small grids replace one large one.  When a factor fails, the
-formula has a disequation, or the structure does not decompose, the grid
-of the structure itself is searched, so verdicts and least witnesses are
-those of the grid.  The factors are computed on first use and kept on the
-structure; writing them onto an immutable structure is idempotent, as
-every computation gives the same factors.
+of its factors.  On a field of q elements every function is exactly one
+polynomial of degree below q in each variable, so an equation holds there
+when its two sides reduce to the same polynomial; the coefficients are
+computed with the field's own tables.  Quasi-identities are preserved by
+products and by substructures, so one that holds on every factor holds on
+the structure, and a few small grids, or polynomials, replace one large
+one.  Only "holds" comes from the fields: when the formula has a
+disequation, or premises on a field, when the polynomials differ or their
+fold gives up, when a factor fails, or when the structure does not
+decompose, the grid of the structure itself is searched, so verdicts and
+least witnesses are those of the grid.  What ``decompose`` certifies is
+computed on first use and kept on the structure, without a canonical copy
+of a field; writing it onto an immutable structure is idempotent, as
+every computation gives the same.
 """
 
 from __future__ import annotations
@@ -107,9 +113,10 @@ class Verdict:
 
 
 def _int32(values, shape, bound, shape_error, range_error) -> np.ndarray:
-    """values as an owned read-only int32 array of the given shape with
-    entries in [0, bound), else ValueError(shape_error or range_error).  An
-    array passed in is range-checked before the cast, so nothing wraps."""
+    """values as a read-only int32 array of the given shape with entries in
+    [0, bound), else ValueError(shape_error or range_error).  An array passed
+    in is range-checked before the cast, so nothing wraps, and copied unless
+    it is a read-only int32 array already."""
     arr = values
     if not isinstance(values, np.ndarray):
         try:
@@ -122,7 +129,7 @@ def _int32(values, shape, bound, shape_error, range_error) -> np.ndarray:
         raise ValueError(shape_error)
     if arr.min() < 0 or arr.max() >= bound:
         raise ValueError(range_error)
-    out = arr.astype(np.int32, copy=arr is values)
+    out = arr.astype(np.int32, copy=arr is values and arr.flags.writeable)
     out.flags.writeable = False
     return out
 
@@ -158,7 +165,7 @@ class FiniteStructure:
     ``zero == one`` is allowed: the one-element structure is a meadow, just
     not a non-trivial one.
 
-    Each table is stored once, as the owned read-only int32 array ``_add``,
+    Each table is stored once, as the read-only int32 array ``_add``,
     ``_mul``, ``_neg`` or ``_inv`` (None without an inverse); ``add`` and
     the others are tuple views of them for readers outside the package.
     Structures are equal when their names, sizes, constants and tables are.
@@ -390,37 +397,111 @@ def _search(s, ops, uses, names, tests, whole):
     return None
 
 
+def _fields(s):
+    """What decompose validates about s: whether s is itself a
+    zero-totalized field, its one component an isomorphism onto the
+    canonical field, and the distinct canonical field factors of s when it
+    has several components; (False, ()) when decompose refuses s.  Computed
+    once per structure and kept on it, without the canonical copy of a
+    field."""
+    fields = getattr(s, "_fields", None)
+    if fields is None:
+        from .finite_meadows import decompose  # it imports this module
+
+        try:
+            components = decompose(s).components
+        except (MeadowError, ValueError):
+            components = ()
+        factors = tuple({h.target.name: h.target for h in components}.values())
+        fields = (len(components) == 1, factors if len(components) > 1 else ())
+        object.__setattr__(s, "_fields", fields)
+    return fields
+
+
 def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
     """The distinct canonical field factors of s, one per name, on which
     the checker decides equations and quasi-identities over large grids of
-    s; () when it searches the grid of s itself, because s has fewer than
-    two field components or decompose refuses it.  Computed once per
-    structure and kept on it."""
-    factors = getattr(s, "_factors", None)
-    if factors is None:
-        components = ()
-        # A meadow with c field components has 2^c idempotents.
-        if len(idempotents(s)) > 2:
-            from .finite_meadows import decompose  # it imports this module
-
-            try:
-                components = decompose(s).components
-            except (MeadowError, ValueError):
-                pass
-        factors = tuple({h.target.name: h.target for h in components}.values())
-        object.__setattr__(s, "_factors", factors)
-    return factors
+    s; () when s is a field, has no field component, or decompose refuses
+    it.  A field has none: the checker decides an equation on it by
+    polynomials instead.  Computed once per structure and kept on it."""
+    return _fields(s)[1]
 
 
-def _find_falsifier(s, formula, certify=True):
+# Products the polynomial fold may form: one per this many grid cells.  A
+# monomial product costs about 1 us and the block search 2.5-4.5 ns per cell
+# (Md_199, Python 3.11 on a 2-core Xeon), so a fold that gives up has spent
+# at most about a third of the time of the grid that then decides.
+_CELLS_PER_PRODUCT = 1000
+
+
+def _same_polynomial(s, ops, uses, roots, cells):
+    """Whether the two roots of a compiled equation are one polynomial over
+    the zero-totalized field s, so that the equation holds on s.
+
+    Over a field of q elements every function of k variables is exactly one
+    polynomial of degree below q in each variable.  Here a polynomial is a
+    dict from exponent tuples, exponent d for the variable of bit d, to
+    nonzero coefficients: elements of s, added and multiplied by its
+    tables.  As x^q = x, an exponent e >= 1 reduces to ((e-1) mod (q-1)) + 1.
+    In a zero-totalized field x^-1 = x^(2q-3), which is 0 at 0, so the
+    inverse of a monomial c*x^a is c^-1 * x^(a(2q-3)), reduced.  The fold
+    gives up, and answers False, at the inverse of a sum, and before it
+    forms more than cells // _CELLS_PER_PRODUCT monomial products.
+    """
+    q, zero = s.size, s.zero
+    add, mul, neg, inv = s._add.item, s._mul.item, s._neg.item, s._inv.item
+    k = max(uses).bit_length()
+    budget = cells // _CELLS_PER_PRODUCT
+    polys = []
+    for (op, a, b), mask in zip(ops, uses):
+        if op == _CONST:
+            poly = {(0,) * k: a} if a != zero else {}
+        elif op == _VAR:
+            poly = {tuple(mask >> d & 1 for d in range(k)): s.one}
+        elif op == _NEG:
+            poly = {m: neg(c) for m, c in polys[a].items()}
+        elif op == _INV:
+            if len(polys[a]) > 1:
+                return False
+            poly = {
+                tuple((e * (2 * q - 3) - 1) % (q - 1) + 1 if e else 0 for e in m):
+                inv(c) for m, c in polys[a].items()
+            }
+        elif op == _ADD:
+            poly = dict(polys[a])
+            for m, c in polys[b].items():
+                poly[m] = add(poly.get(m, zero), c)
+        else:
+            left, right = polys[a], polys[b]
+            budget -= len(left) * len(right)
+            if budget < 0:
+                return False
+            poly = {}
+            for m, c in left.items():
+                for n, d in right.items():
+                    # Reduced exponents sum to at most 2q-2.
+                    key = tuple(
+                        e if e < q else e - q + 1 for e in map(int.__add__, m, n)
+                    )
+                    poly[key] = add(poly.get(key, zero), mul(c, d))
+        if op == _ADD or op == _MUL:
+            poly = {m: c for m, c in poly.items() if c != zero}
+        polys.append(poly)
+    return polys[roots[0]] == polys[roots[1]]
+
+
+def _find_falsifier(s, formula):
     """Least assignment satisfying all premises but not the conclusion.
 
     Returns None when no such assignment exists.  Variables are ordered by
     name, which fixes the lexicographic order.  The formula's program is
     folded on s (_compile) and its grid searched (_search): whole when its
     slots all fit _BLOCK_BYTES, else in blocks.  A larger grid is not
-    searched when certify is set, every atom is an equation and the
-    formula holds on every field factor of s, each decided on its own grid.
+    searched when every atom is an equation and the formula holds on a
+    zero-totalized field that certifies it: an equation on s itself when s
+    is a field and both sides fold to one polynomial (_same_polynomial), or
+    the formula on every field factor of s, each decided the same way.  A
+    field has no field factors, so the recursion stops there.
     """
     premises, conclusion = formula.premises, formula.conclusion
     ops, uses, names, roots, cells = _compile(s, formula.program)
@@ -434,11 +515,16 @@ def _find_falsifier(s, formula, certify=True):
         tests.append((test, roots[2 * k], roots[2 * k + 1]))
     # The int32 slots and two boolean masks over the grid.
     whole = not names or 4 * cells + 2 * s.size ** len(names) <= _BLOCK_BYTES
-    if not whole and certify and all(
+    if not whole and all(
         isinstance(atom, Equation) for atom in (conclusion, *premises)
     ):
+        if (
+            not premises and _fields(s)[0]
+            and _same_polynomial(s, ops, uses, roots, cells)
+        ):
+            return None
         factors = field_factors(s)
-        if factors and all(_find_falsifier(f, formula, False) is None for f in factors):
+        if factors and all(_find_falsifier(f, formula) is None for f in factors):
             return None
     return _search(s, ops, uses, names, tests, whole)
 

@@ -50,9 +50,12 @@ def test_criterion_02_md10_inverse_row():
 
 def test_criterion_03_exhaustive_meadow_laws_up_to_210(monkeypatch):
     # The moduli on which the checker looked up field factors and found
-    # some; every law holds, so those laws were decided on the factors.
-    certified = set()
+    # some, and those that were fields whose own polynomials decided a law;
+    # every law holds, so those laws were decided on the factors or by
+    # polynomials.
+    certified, by_polynomials = set(), set()
     lookup = structures.field_factors
+    fold = structures._same_polynomial
 
     def spy(s):
         factors = lookup(s)
@@ -60,7 +63,14 @@ def test_criterion_03_exhaustive_meadow_laws_up_to_210(monkeypatch):
             certified.add(s.name)
         return factors
 
+    def fold_spy(s, *args):
+        same = fold(s, *args)
+        if same:
+            by_polynomials.add(s.name)
+        return same
+
     monkeypatch.setattr(structures, "field_factors", spy)
+    monkeypatch.setattr(structures, "_same_polynomial", fold_spy)
     start = time.perf_counter()
     failures = []
     for k in SQUAREFREE_210:
@@ -70,12 +80,14 @@ def test_criterion_03_exhaustive_meadow_laws_up_to_210(monkeypatch):
             failures.append((k, bad))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
+    moduli = {f"Md_{k}" for k in SQUAREFREE_210}
     report(
         3,
         ok,
         f"all 10 meadow laws exhaust on {len(SQUAREFREE_210)} squarefree "
         f"moduli <= 210 in {elapsed:.1f}s (< 60s), {len(certified)} of them "
-        f"through field factors; failures={failures}",
+        f"through field factors and {len(moduli & by_polynomials)} by "
+        f"polynomials; failures={failures}",
     )
 
 

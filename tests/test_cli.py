@@ -239,6 +239,20 @@ class TestCheck:
         assert code == 2
         assert "not prime" in err
 
+    @pytest.mark.parametrize("equation, code, row", [
+        ("x*(y+z) = x*y+x*z", 0, "Z_211\tvalid\t-"),
+        ("x*(y*z)^-1 = x*y^-1*z", 1, "Z_211\tinvalid\tx=1,y=1,z=2"),
+    ])
+    def test_three_variables_on_a_large_field(self, capsys, equation, code, row):
+        # Z_211's grid is searched in blocks unless its polynomials decide;
+        # the output is the grid's either way.
+        verdict = "valid" if code == 0 else "invalid"
+        assert run(capsys, "check", equation, "--model", "zp:211") == (
+            code,
+            f"{row}\n# fields: {verdict}\tmeadows: {verdict}\tagree: yes\n",
+            "",
+        )
+
     def test_seed_changes_sampling_reproducibly(self, capsys):
         first = run(capsys, "check", "inv(inv(x))=x", "--model", "q",
                     "--samples", "50", "--seed", "7")

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import meadows.terms as terms_module
 import meadows.structures as structures_module
 from meadows import (
-    DERIVED_IDENTITIES, GIL, MD, SIP,
+    CR, DERIVED_IDENTITIES, GIL, MD, SIP,
     DecompositionNotFound, FiniteStructure, FormatError, Homomorphism,
     MissingInverseTable, UnboundVariable, Verdict,
     build_mdk, build_prime_field,
@@ -21,7 +22,7 @@ from meadows import (
     load_structure, local_unit, numeral, parse_equation, parse_term,
     principal_ideal, product, product_coords, product_index,
     battery_check, format_conditional, parse_conditional, parse_formula,
-    random_conditional, sample_check_conditional,
+    random_conditional, random_equation, random_term, sample_check_conditional,
     satisfies_iel, subalgebra_generated,
     unit_of, zmod_ring,
 )
@@ -62,8 +63,9 @@ def z4_with_identity_inv():
 
 
 def without_certificate(monkeypatch):
-    """Decide every formula on the grid of the structure itself."""
-    monkeypatch.setattr(structures_module, "field_factors", lambda s: ())
+    """Decide every formula on the grid of the structure itself: neither
+    the structure's polynomials nor its field factors."""
+    monkeypatch.setattr(structures_module, "_fields", lambda s: (False, ()))
 
 
 class TestEval:
@@ -240,11 +242,13 @@ class TestCheckEquation:
         assert peak < 50 * 2**20
 
     @pytest.mark.parametrize("law", ["distrib", "mul_assoc"])
-    def test_prime_grid_peak_is_within_the_budget(self, law):
-        # Md_211 is a field, so no factor decides: 9.4 M cells searched in
-        # blocks, whose arrays the budget bounds.
+    def test_prime_grid_peak_is_within_the_budget(self, monkeypatch, law):
+        # Md_211 is a field, so no factor decides, and without its
+        # polynomials the grid does: 9.4 M cells searched in blocks, whose
+        # arrays the budget bounds.
         md211 = build_mdk(211)
         assert field_factors(md211) == ()
+        without_certificate(monkeypatch)
         tracemalloc.start()
         try:
             verdict = check_equation(md211, MD[law])
@@ -350,9 +354,9 @@ class TestFieldFactors:
         md30 = build_mdk(30)
         assert len(field_factors(md30)) == 3
         ring = dataclasses.replace(md30, inv=None)
-        assert "_factors" not in vars(ring)
+        assert "_fields" not in vars(ring)
         assert field_factors(ring) == ()
-        assert "_factors" not in vars(dataclasses.replace(md30))
+        assert "_fields" not in vars(dataclasses.replace(md30))
 
     @pytest.mark.parametrize(
         "laws", [MD, SIP, DERIVED_IDENTITIES, {"GIL": GIL}],
@@ -426,6 +430,157 @@ class TestFieldFactors:
         finally:
             gc.enable()
         assert field_factors(md30)
+
+
+def relabelled(s, perm):
+    """A copy of s whose element x is called perm[x]."""
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    return FiniteStructure(
+        f"{s.name}~", s.size, int(perm[s.zero]), int(perm[s.one]),
+        perm[s._add[back][:, back]], perm[s._mul[back][:, back]],
+        perm[s._neg[back]], perm[s._inv[back]],
+    )
+
+
+class TestPolynomials:
+    """An equation over a grid too large to evaluate whole is first decided
+    on a zero-totalized field by reduced polynomials: on the structure
+    itself when decompose certifies it as a field, else on its field
+    factors.  Only "holds" comes from the polynomials."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Check a formula twice: just over the budget of a whole grid, so
+        that the certificates are asked, and on the grid alone.  Returns
+        both verdicts and the names of the structures on which polynomials
+        decided.  The fold's own budget is lifted, because these grids are
+        small; test_budget_sends_large_expansions_to_the_grid keeps it."""
+        decided = []
+        fold = structures_module._same_polynomial
+
+        def fold_spy(s, *args):
+            same = fold(s, *args)
+            if same:
+                decided.append(s.name)
+            return same
+
+        monkeypatch.setattr(structures_module, "_same_polynomial", fold_spy)
+        monkeypatch.setattr(structures_module, "_CELLS_PER_PRODUCT", 1)
+
+        def check(s, formula):
+            _, _, names, _, cells = structures_module._compile(s, formula.program)
+            decided.clear()
+            with monkeypatch.context() as m:
+                budget = 4 * cells + 2 * s.size ** len(names) - 1
+                m.setattr(structures_module, "_BLOCK_BYTES", budget)
+                certified = check_conditional(s, formula)
+            with monkeypatch.context() as m:
+                without_certificate(m)
+                grid = check_conditional(s, formula)
+            return certified, grid, list(decided)
+
+        return check
+
+    @pytest.fixture(scope="class")
+    def fields(self, battery):
+        z7 = build_prime_field(7)
+        return (
+            *(build_mdk(p) for p in (2, 3, 5, 7, 13)),
+            *(s for s in battery if s.name.startswith("GF(")),
+            relabelled(z7, [3, 5, 0, 6, 1, 2, 4]),
+        )
+
+    @staticmethod
+    def equations():
+        """200 seeded equations, and 100 that hold on every field, built
+        from seeded terms."""
+        rng = random.Random(17)
+        out = [random_equation(rng, ("x", "y", "z"), 3) for _ in range(200)]
+        for _ in range(25):
+            t, u, v = (random_term(rng, ("x", "y", "z"), 2) for _ in range(3))
+            out += [
+                Equation(Add(t, u), Add(u, t)),
+                Equation(Mul(t, Add(u, v)), Add(Mul(t, u), Mul(v, t))),
+                Equation(Inv(Mul(t, u)), Mul(Inv(u), Inv(t))),
+                Equation(Neg(Mul(t, u)), Mul(t, Neg(u))),
+            ]
+        return out
+
+    def test_fields_are_certified(self, fields, battery):
+        assert all(structures_module._fields(s) == (True, ()) for s in fields)
+        composite = [s for s in battery if s.name in ("Md_30", "(Z_2 x Z_3)")]
+        assert all(not structures_module._fields(s)[0] for s in composite)
+
+    def test_laws_agree_with_the_grid(self, routes, fields):
+        for s in fields:
+            for laws in (MD, SIP, CR):
+                for name, law in laws.items():
+                    certified, grid, decided = routes(s, law)
+                    assert certified == grid, (s.name, name)
+                    # Every law holds on a field and folds without giving up.
+                    assert decided == [s.name], (s.name, name)
+
+    def test_seeded_equations_agree_with_the_grid(self, routes, fields):
+        decided = failed = 0
+        for i, eq in enumerate(self.equations()):
+            for s in fields:
+                certified, grid, by_polynomials = routes(s, eq)
+                assert certified == grid, (s.name, i)
+                if by_polynomials:
+                    assert certified.holds
+                    decided += 1
+                failed += not grid.holds
+        assert decided > 500 and failed > 1000
+
+    def test_non_fields_are_never_decided_by_polynomials(self, routes):
+        for s, laws in [
+            (z4_with_identity_inv(), MD), (zmod_ring(6), CR), (build_mdk(30), MD),
+        ]:
+            assert not structures_module._fields(s)[0], s.name
+            for name, law in laws.items():
+                certified, grid, decided = routes(s, law)
+                assert certified == grid, (s.name, name)
+                assert s.name not in decided, (s.name, name)
+
+    def test_budget_sends_large_expansions_to_the_grid(self, routes, monkeypatch):
+        md13 = build_mdk(13)
+        eq = parse_equation(
+            "(x+y+z+1)*(x+y+z+1)*(x+y+z+1)*(x+y+z+1)"
+            " = (1+z+y+x)*(1+z+y+x)*(1+z+y+x)*(1+z+y+x)"
+        )
+        assert routes(md13, eq) == (Verdict(True), Verdict(True), ["Md_13"])
+        # At the default rate the fold may form a product per 1000 of the
+        # grid's cells, fewer than the expansion needs.
+        monkeypatch.setattr(structures_module, "_CELLS_PER_PRODUCT", 1000)
+        assert routes(md13, eq) == (Verdict(True), Verdict(True), [])
+
+    def test_inverse_of_a_sum_falls_to_the_grid_at_once(self):
+        # The fold gives up at (x+y+z)^-1; the grid of Md_199 then decides,
+        # in about its own time.
+        md199 = build_mdk(199)
+        eq = parse_equation("(x+y+z)^-1 = (z+y+x)^-1")
+        structures_module._fields(md199)  # the certificate, once
+        start = time.perf_counter()
+        certified = check_equation(md199, eq)
+        elapsed = time.perf_counter() - start
+        with pytest.MonkeyPatch.context() as m:
+            without_certificate(m)
+            start = time.perf_counter()
+            grid = check_equation(md199, eq)
+            grid_elapsed = time.perf_counter() - start
+        assert certified == grid == Verdict(True)
+        assert elapsed < 2 * grid_elapsed + 0.5
+
+    @pytest.mark.parametrize("text, witness", [
+        ("x*(y*z)^-1 = x*y^-1*z", {"x": 1, "y": 1, "z": 2}),
+        # Both sides would fold alike if ^-1 were additive on sums.
+        ("(x+y)^-1 = x^-1+y^-1", {"x": 1, "y": 1}),
+    ])
+    def test_failing_equation_keeps_the_grid_witness(self, routes, text, witness):
+        certified, grid, decided = routes(build_mdk(13), parse_equation(text))
+        assert certified == grid == Verdict(False, witness)
+        assert decided == []
 
 
 class TestAxiomSets:

@@ -166,6 +166,18 @@ def test_squarefree_mdk_up_to_210_hold_arrays_only():
     assert held < 20 * 2**20
 
 
+def test_tables_are_copied_unless_read_only():
+    # A writable array stays the caller's, to change as it likes; a
+    # read-only one, such as build_mdk's own tables, is kept as it is.
+    md6 = build_mdk(6)
+    assert not md6._add.flags.writeable and not md6._mul.flags.writeable
+    mul = md6._mul.copy()
+    s = FiniteStructure("Md_6", 6, 0, 1, md6._add, mul, md6._neg, md6._inv)
+    assert s._add is md6._add and s._mul is not mul
+    mul[2, 3] = 1
+    assert s == md6 and mul.flags.writeable
+
+
 def loop_closure(s, seeds):
     """The element-by-element scan the frontier masks replaced."""
     current = {s.zero, s.one, *seeds}
