@@ -67,7 +67,7 @@ def _split_product(body: str) -> list[str]:
         elif parts:
             parts[-1] += "," + chunk
         else:
-            raise ParseError(f"bad product component {chunk!r}", 0)
+            raise ParseError(f"bad product component {chunk!r}")
     return parts
 
 
@@ -75,7 +75,7 @@ def _int_arg(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}", 0) from None
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
 
 
 def resolve_model(spec: str):
@@ -89,7 +89,7 @@ def resolve_model(spec: str):
     if spec.startswith("gf:"):
         parts = spec[3:].split(",")
         if len(parts) != 2:
-            raise ParseError(f"gf takes p,m: {spec!r}", 0)
+            raise ParseError(f"gf takes p,m: {spec!r}")
         return build_galois_field(
             _int_arg(parts[0], "p"), _int_arg(parts[1], "m")
         )
@@ -98,17 +98,17 @@ def resolve_model(spec: str):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}", 0) from None
+            raise ParseError(f"cannot read {path}: {exc}") from None
         return load_structure(text)
     if spec.startswith("prod:"):
         factors = []
         for part in _split_product(spec[5:]):
             factor = resolve_model(part)
             if isinstance(factor, RationalModel):
-                raise ParseError("q cannot be a product factor", 0)
+                raise ParseError("q cannot be a product factor")
             factors.append(factor)
         return product(factors)
-    raise ParseError(f"unknown model reference {spec!r}", 0)
+    raise ParseError(f"unknown model reference {spec!r}")
 
 
 def _parse_assignment(text: str, value_of) -> dict:
@@ -117,7 +117,7 @@ def _parse_assignment(text: str, value_of) -> dict:
     for item in text.split(",") if text else ():
         name, eq, value = item.partition("=")
         if not eq or not name:
-            raise ParseError(f"assignments look like x=2, got {item!r}", 0)
+            raise ParseError(f"assignments look like x=2, got {item!r}")
         out[name.strip()] = value_of(name.strip(), value)
     return out
 
@@ -156,7 +156,7 @@ def cmd_check(
     seed: int = DEFAULT_SEED,
 ) -> tuple[str, int]:
     if samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {samples}", 0)
+        raise ParseError(f"--samples must be at least 1, got {samples}")
     formula = parse_formula(formula_text)
     models = [resolve_model(spec) for spec in model_specs]
     report = battery_check(
@@ -187,7 +187,7 @@ def cmd_check(
 def cmd_table(model_spec: str) -> tuple[str, int]:
     model = resolve_model(model_spec)
     if isinstance(model, RationalModel):
-        raise ParseError("the rationals have no finite table", 0)
+        raise ParseError("the rationals have no finite table")
     return dump_structure(model), 0
 
 
@@ -212,14 +212,14 @@ def cmd_expand(path_text: str) -> tuple[str, int]:
     try:
         text = Path(path_text).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path_text}: {exc}", 0) from None
+        raise ParseError(f"cannot read {path_text}: {exc}") from None
     return dump_structure(expand_to_meadow(load_structure(text))), 0
 
 
 def cmd_decompose(model_spec: str) -> tuple[str, int]:
     model = resolve_model(model_spec)
     if isinstance(model, RationalModel):
-        raise ParseError("decomposition needs a finite model", 0)
+        raise ParseError("decomposition needs a finite model")
     result = decompose(model)
     lines = [f"components: {len(result.components)}"]
     for i, hom in enumerate(result.components, start=1):

@@ -6,10 +6,14 @@ class MeadowError(Exception):
 
 
 class ParseError(MeadowError):
-    """Malformed concrete syntax. Carries the character offset of the fault."""
+    """Malformed concrete syntax. Carries the character offset of the fault,
+    or None where no text position applies, as for a bad command-line value
+    or an unreadable file."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(
+            message if position is None else f"{message} (at position {position})"
+        )
         self.position = position
 
 

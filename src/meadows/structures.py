@@ -36,8 +36,11 @@ interpreter's recursion limit, such as a long sum, still exhausts the
 stack there.
 
 An equation or a quasi-identity (a conditional whose premises are all
-equations) whose grid is too large to evaluate whole is first decided on
-zero-totalized fields.  ``decompose`` certifies them: a structure with one
+equations) is first decided on zero-totalized fields when that is expected
+to cost less than its grid, counting the ``decompose`` it needs when the
+structure has not been decomposed yet; the grid's cost is its cells, and
+the certificate's is a measured cost per slot of the fold or of each
+factor.  ``decompose`` certifies the fields: a structure with one
 field component is isomorphic to that canonical field, and otherwise its
 diagonal is an injective homomorphism, inverse included, into the product
 of its factors.  On a field of q elements every function is exactly one
@@ -46,11 +49,12 @@ when its two sides reduce to the same polynomial; the coefficients are
 computed with the field's own tables.  Quasi-identities are preserved by
 products and by substructures, so one that holds on every factor holds on
 the structure, and a few small grids, or polynomials, replace one large
-one.  Only "holds" comes from the fields: when the formula has a
-disequation, or premises on a field, when the polynomials differ or their
-fold gives up, when a factor fails, or when the structure does not
-decompose, the grid of the structure itself is searched, so verdicts and
-least witnesses are those of the grid.  What ``decompose`` certifies is
+one.  Only "holds" comes from the fields: when a certificate would cost
+more than the grid, when the formula has a disequation, or premises on a
+field, when the polynomials differ or their fold gives up, when a factor
+fails, or when the structure does not decompose, the grid of the
+structure itself is searched, so verdicts and least witnesses are those
+of the grid.  What ``decompose`` certifies is
 computed on first use and kept on the structure, without a canonical copy
 of a field; writing it onto an immutable structure is idempotent, as
 every computation gives the same.
@@ -403,7 +407,10 @@ def _fields(s):
     canonical field, and the distinct canonical field factors of s when it
     has several components; (False, ()) when decompose refuses s.  Computed
     once per structure and kept on it, without the canonical copy of a
-    field."""
+    field.  Each factor is a canonical field, so it keeps (True, ()) from
+    the start.  The checker asks for it only when the certificate it makes
+    possible, with this decompose, is expected to cost less than the grid
+    (_find_falsifier)."""
     fields = getattr(s, "_fields", None)
     if fields is None:
         from .finite_meadows import decompose  # it imports this module
@@ -414,18 +421,42 @@ def _fields(s):
             components = ()
         factors = tuple({h.target.name: h.target for h in components}.values())
         fields = (len(components) == 1, factors if len(components) > 1 else ())
+        for f in fields[1]:
+            object.__setattr__(f, "_fields", (True, ()))
         object.__setattr__(s, "_fields", fields)
     return fields
 
 
 def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
     """The distinct canonical field factors of s, one per name, on which
-    the checker decides equations and quasi-identities over large grids of
-    s; () when s is a field, has no field component, or decompose refuses
-    it.  A field has none: the checker decides an equation on it by
-    polynomials instead.  Computed once per structure and kept on it."""
+    the checker decides equations and quasi-identities of s whose grid
+    costs more than checking them on every factor; () when s is a field,
+    has no field component, or decompose refuses it.  A field has none:
+    the checker decides an equation on it by polynomials instead.
+    Computed once per structure and kept on it."""
     return _fields(s)[1]
 
+
+# What the checker expects each route to cost, in grid cells: the block
+# search fills a cell in about 3 ns on grids of 10^4 to 10^6 cells (2.5-4.5
+# ns on Md_23 to Md_199; Python 3.11, numpy 2.4, on a 2-core Xeon), so the
+# cells that _compile counts are the grid's cost.  A certificate is tried
+# only when the grid costs more than it, the one-off decompose included:
+# - the polynomial fold takes about 1.7 us per slot of the MD laws, and
+#   its products are bounded by _CELLS_PER_PRODUCT below;
+# - a factor takes one _compile and one search, or fold, of its own, about
+#   3 us per slot over MD laws, derived identities and encodings of
+#   seeded conditionals (120 us for a 40-slot encoding);
+# - decompose, on a structure that does not keep _fields yet, takes 0.5 ms
+#   on Md_15 to 8 ms on Md_210, about 0.4 ms and 90 ns per entry of a
+#   table, more with more components.  So a check made once, on a fresh
+#   Md_30, does not pay 1.4 ms of decompose to spare 0.13 ms of grid.
+# Only "holds" comes from a certificate, so the constants move time, never
+# a verdict or a witness.
+_FOLD_CELLS_PER_SLOT = 600
+_FACTOR_CELLS_PER_SLOT = 1000
+_DECOMPOSE_CELLS = 150_000
+_DECOMPOSE_CELLS_PER_ENTRY = 30
 
 # Products the polynomial fold may form: one per this many grid cells.  A
 # monomial product costs about 1 us and the block search 2.5-4.5 ns per cell
@@ -496,12 +527,17 @@ def _find_falsifier(s, formula):
     Returns None when no such assignment exists.  Variables are ordered by
     name, which fixes the lexicographic order.  The formula's program is
     folded on s (_compile) and its grid searched (_search): whole when its
-    slots all fit _BLOCK_BYTES, else in blocks.  A larger grid is not
-    searched when every atom is an equation and the formula holds on a
-    zero-totalized field that certifies it: an equation on s itself when s
-    is a field and both sides fold to one polynomial (_same_polynomial), or
-    the formula on every field factor of s, each decided the same way.  A
-    field has no field factors, so the recursion stops there.
+    slots all fit _BLOCK_BYTES, else in blocks.  When every atom is an
+    equation, a zero-totalized field may certify that the formula holds
+    first: an equation on s itself when s is a field and both sides fold
+    to one polynomial (_same_polynomial), or the formula on every field
+    factor of s, each decided the same way.  A certificate is tried only
+    when the grid's cells exceed its expected cost in cells: the fold, or
+    each factor's check, per slot, and the decompose of s when s does not
+    keep _fields yet.  Which certificate s admits is known only after that
+    decompose, so the cheaper one sets the first gate, and the factors are
+    gated again by their number.  A field has no field factors, so the
+    recursion stops there.
     """
     premises, conclusion = formula.premises, formula.conclusion
     ops, uses, names, roots, cells = _compile(s, formula.program)
@@ -515,17 +551,23 @@ def _find_falsifier(s, formula):
         tests.append((test, roots[2 * k], roots[2 * k + 1]))
     # The int32 slots and two boolean masks over the grid.
     whole = not names or 4 * cells + 2 * s.size ** len(names) <= _BLOCK_BYTES
-    if not whole and all(
-        isinstance(atom, Equation) for atom in (conclusion, *premises)
-    ):
-        if (
-            not premises and _fields(s)[0]
-            and _same_polynomial(s, ops, uses, roots, cells)
-        ):
-            return None
-        factors = field_factors(s)
-        if factors and all(_find_falsifier(f, formula) is None for f in factors):
-            return None
+    if all(isinstance(atom, Equation) for atom in (conclusion, *premises)):
+        slots = len(ops)
+        least = slots * (_FACTOR_CELLS_PER_SLOT if premises else _FOLD_CELLS_PER_SLOT)
+        if getattr(s, "_fields", None) is None:
+            least += _DECOMPOSE_CELLS + _DECOMPOSE_CELLS_PER_ENTRY * s.size**2
+        if cells > least:
+            if (
+                not premises and _fields(s)[0]
+                and _same_polynomial(s, ops, uses, roots, cells)
+            ):
+                return None
+            factors = field_factors(s)
+            if (
+                factors and cells > len(factors) * slots * _FACTOR_CELLS_PER_SLOT
+                and all(_find_falsifier(f, formula) is None for f in factors)
+            ):
+                return None
     return _search(s, ops, uses, names, tests, whole)
 
 

@@ -413,6 +413,16 @@ class TestPlumbing:
         code, out, _ = run(capsys, "eval", "2*2^-1", "--model", f"file:{path}")
         assert (code, out) == (0, "4\n")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["check", "x = x", "--model", "q", "--samples", "0"],
+         "--samples must be at least 1, got 0\n"),
+        (["expand", "/nonexistent"], "cannot read /nonexistent: [Errno 2] "
+         "No such file or directory: '/nonexistent'\n"),
+    ])
+    def test_errors_without_a_text_position(self, capsys, argv, err):
+        # A command-line value or a file has no position in a parsed text.
+        assert run(capsys, *argv) == (2, "", err)
+
     def test_unknown_model_prefix(self, capsys):
         code, _, err = run(capsys, "eval", "1", "--model", "weird:3")
         assert code == 2 and err

@@ -68,6 +68,16 @@ def without_certificate(monkeypatch):
     monkeypatch.setattr(structures_module, "_fields", lambda s: (False, ()))
 
 
+def certificate_first(monkeypatch):
+    """Try the certificates on every grid, however small: the fold, each
+    factor and decompose are priced at no cells."""
+    for cost in (
+        "_FOLD_CELLS_PER_SLOT", "_FACTOR_CELLS_PER_SLOT",
+        "_DECOMPOSE_CELLS", "_DECOMPOSE_CELLS_PER_ENTRY",
+    ):
+        monkeypatch.setattr(structures_module, cost, 0)
+
+
 class TestEval:
     def test_zero_inverse_is_zero(self):
         assert eval_term(parse_term("0^-1"), MD6) == 0
@@ -288,15 +298,15 @@ class TestCheckEquation:
 
 
 class TestFieldFactors:
-    """Equations and quasi-identities over grids too large to evaluate whole
-    are first decided on the field factors of the structure."""
+    """Equations and quasi-identities whose grid costs more than checking
+    them on every field factor of the structure, the decompose that finds
+    the factors included, are first decided on the factors."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        """Check a formula twice: with the certificate, under a budget that
-        sends the grid of the structure to the block search, and on the
-        grid alone at the default budget.  Returns both verdicts and
-        whether the certificate decided the first."""
+        """Check a formula twice: with the certificate priced at no cells,
+        so that it is tried on every grid, and on the grid alone.  Returns
+        both verdicts and whether the certificate decided the first."""
         gated, searched = [], []
         lookup = structures_module.field_factors
         search = structures_module._search
@@ -313,13 +323,10 @@ class TestFieldFactors:
         monkeypatch.setattr(structures_module, "_search", search_spy)
 
         def check(s, formula):
-            # Under the 6*n^v bytes of the head slot and the two masks, and
-            # still blocks of several values on the larger carriers.
-            budget = 4 * s.size ** max(len(formula.variables()) - 1, 0)
             gated.clear()
             searched.clear()
             with monkeypatch.context() as m:
-                m.setattr(structures_module, "_BLOCK_BYTES", budget)
+                certificate_first(m)
                 certified = check_conditional(s, formula)
             by_factors = any(t is s for t in gated) and not any(
                 t is s for t in searched
@@ -420,7 +427,7 @@ class TestFieldFactors:
     def test_certificate_leaves_no_cyclic_garbage(self, monkeypatch):
         # A first decomposition imports modules, whose objects are cyclic.
         decompose(build_mdk(6))
-        monkeypatch.setattr(structures_module, "_BLOCK_BYTES", 1)
+        certificate_first(monkeypatch)
         md30 = build_mdk(30)
         gc.collect()
         gc.disable()
@@ -444,16 +451,17 @@ def relabelled(s, perm):
 
 
 class TestPolynomials:
-    """An equation over a grid too large to evaluate whole is first decided
-    on a zero-totalized field by reduced polynomials: on the structure
-    itself when decompose certifies it as a field, else on its field
-    factors.  Only "holds" comes from the polynomials."""
+    """An equation whose grid costs more than folding it, the decompose
+    that certifies a field included, is first decided on a zero-totalized
+    field by reduced polynomials: on the structure itself when decompose
+    certifies it as a field, else on its field factors.  Only "holds"
+    comes from the polynomials."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        """Check a formula twice: just over the budget of a whole grid, so
-        that the certificates are asked, and on the grid alone.  Returns
-        both verdicts and the names of the structures on which polynomials
+        """Check a formula twice: with the certificates priced at no cells,
+        so that they are tried, and on the grid alone.  Returns both
+        verdicts and the names of the structures on which polynomials
         decided.  The fold's own budget is lifted, because these grids are
         small; test_budget_sends_large_expansions_to_the_grid keeps it."""
         decided = []
@@ -469,11 +477,9 @@ class TestPolynomials:
         monkeypatch.setattr(structures_module, "_CELLS_PER_PRODUCT", 1)
 
         def check(s, formula):
-            _, _, names, _, cells = structures_module._compile(s, formula.program)
             decided.clear()
             with monkeypatch.context() as m:
-                budget = 4 * cells + 2 * s.size ** len(names) - 1
-                m.setattr(structures_module, "_BLOCK_BYTES", budget)
+                certificate_first(m)
                 certified = check_conditional(s, formula)
             with monkeypatch.context() as m:
                 without_certificate(m)
@@ -581,6 +587,51 @@ class TestPolynomials:
         certified, grid, decided = routes(build_mdk(13), parse_equation(text))
         assert certified == grid == Verdict(False, witness)
         assert decided == []
+
+
+class TestCertificateCost:
+    """At the default costs, a certificate is tried exactly where it is
+    expected to cost less than the grid: on Md_59 and Md_58, whose grids
+    fit one block, and not for a single small check on a fresh structure,
+    which would pay for the decompose."""
+
+    LAWS = ("add_assoc", "mul_assoc", "distrib")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names of the structures each of _find_falsifier and _search
+        was called on."""
+        seen = {"checked": [], "searched": []}
+        for name, key in (("_find_falsifier", "checked"), ("_search", "searched")):
+            def spy(s, *args, real=getattr(structures_module, name), key=key):
+                seen[key].append(s.name)
+                return real(s, *args)
+
+            monkeypatch.setattr(structures_module, name, spy)
+        return seen
+
+    def test_prime_field_laws_skip_the_grid(self, calls):
+        md59 = build_mdk(59)
+        for law in self.LAWS:
+            assert check_equation(md59, MD[law]) == Verdict(True)
+        assert calls == {"checked": ["Md_59"] * 3, "searched": []}
+
+    def test_composite_laws_are_decided_on_the_factors(self, calls):
+        md58 = build_mdk(58)
+        for law in self.LAWS:
+            assert check_equation(md58, MD[law]) == Verdict(True)
+        assert calls["checked"] == ["Md_58", "Z_2", "Z_29"] * 3
+        # Z_2's grid is cheaper than its polynomials; Z_29 is a canonical
+        # field, certified by the decompose of Md_58, so it folds.
+        assert calls["searched"] == ["Z_2"] * 3
+
+    def test_one_small_check_does_not_decompose(self, calls):
+        md6, md30 = build_mdk(6), build_mdk(30)
+        eq = parse_equation("((x+y)*(x*y))*(x+y) = (y+x)*((y*x)*(y+x))")
+        assert check_equation(md6, MD["add_assoc"]).holds
+        assert check_equation(md30, eq).holds
+        assert calls["searched"] == ["Md_6", "Md_30"]
+        assert "_fields" not in vars(md6) and "_fields" not in vars(md30)
 
 
 class TestAxiomSets:

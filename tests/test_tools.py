@@ -64,3 +64,26 @@ def test_a_metric_without_a_bound_is_not_judged(bench_pairs):
     runs = {side: [{"metrics": {"m": {"value": 1.0}}}] for side in ("parent", "change")}
     got = bench_pairs.reduce([metric], runs)["m"]
     assert got["bound"] is None and "beyond_bound" not in got
+
+
+def test_peak_memory_is_fitted_against_the_operations(bench_pairs):
+    # Each side keeps 45 bytes per operation on top of its own peak, which
+    # the change lowers from 60 to 55 MB while attempting more operations.
+    metric = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}
+    runs = {
+        side: [{"attempted": n,
+                "metrics": {"peak_rss_mb": {"value": base + 45 * n / 2**20}}}
+               for n in counts]
+        for side, base, counts in (
+            ("parent", 60.0, [30_000, 40_000, 35_000]),
+            ("change", 55.0, [200_000, 250_000, 220_000]),
+        )
+    }
+    runs["change"][-1] = None  # a failed run is left out of the fit
+    got = bench_pairs.reduce([metric], runs)["peak_rss_mb"]["against_attempted"]
+    assert got == {
+        "parent": {"intercept_mb": 60.0, "bytes_per_op": 45.0},
+        "change": {"intercept_mb": 55.0, "bytes_per_op": 45.0},
+    }
+    one = bench_pairs.against_attempted(runs["parent"][:1], "peak_rss_mb")
+    assert one == {"intercept_mb": None, "bytes_per_op": None}

@@ -14,7 +14,11 @@ better.  A metric with a ``bound`` in ``BENCHMARK.json`` also carries the
 benchmark's judgement: ``beyond_bound`` when the change median is worse
 than the parent median by more than the bound, and ``unresolved`` when the
 parent's quartile spread exceeds the bound times its median and not every
-change run beats every parent run.  A run that exits non-zero is kept in ``failed_runs`` with its
+change run beats every parent run.  ``peak_rss_mb`` also carries, per side,
+the least-squares line of the runs' peaks against the operations each run
+attempted: the benchmark keeps a record of every operation, so a faster
+program reads a higher peak, and the intercept is the peak without that
+record.  A run that exits non-zero is kept in ``failed_runs`` with its
 side, seed, exit code and the tail of its stderr, and the pairs go on; its
 value is null, and only pairs with both runs count towards the wins.  An
 existing output file is updated workload by workload, so workloads can be
@@ -41,8 +45,11 @@ WHAT = (
     "and change_wins counts the pairs in which the change read better. "
     "beyond_bound: the change median is worse than the parent median by more "
     "than bound (relative). unresolved: the parent's q3-q1 exceeds bound times "
-    "its median and not every change run beats every parent run. A run that "
-    "exited non-zero is listed in failed_runs and its values are null."
+    "its median and not every change run beats every parent run. "
+    "peak_rss_mb.against_attempted: per side, the least-squares intercept (MB) "
+    "and slope (bytes per operation) of the runs' peaks against the operations "
+    "each run attempted. A run that exited non-zero is listed in failed_runs "
+    "and its values are null."
 )
 
 
@@ -91,7 +98,24 @@ def reduce(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
         }
         if pairs and metric.get("bound") is not None:
             out[name].update(judge(better, metric["bound"], values, stats))
+        if name == "peak_rss_mb":
+            out[name]["against_attempted"] = {
+                side: against_attempted(runs[side], name) for side in SIDES
+            }
     return out
+
+
+def against_attempted(runs: list[dict], name: str) -> dict:
+    """The least-squares line of a memory metric, in MB, against the
+    operations each run attempted: its intercept in MB and its slope in
+    bytes per operation; None for both with fewer than two distinct
+    operation counts."""
+    points = [(r["attempted"], r["metrics"][name]["value"]) for r in runs if r]
+    if len({x for x, _ in points}) < 2:
+        return {"intercept_mb": None, "bytes_per_op": None}
+    slope, intercept = statistics.linear_regression(*zip(*points))
+    return {"intercept_mb": round(intercept, 4),
+            "bytes_per_op": round(slope * 2**20, 2)}
 
 
 def judge(better: str, bound: float, values: dict, stats: dict) -> dict:
