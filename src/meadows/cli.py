@@ -23,12 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    DecompositionNotFound, MeadowError, MissingInverseTable,
-    NoFiniteCharacteristic, NotPrime, NotRegular, ParseError, FormatError,
-    SearchBoundExceeded, SizeOverflow, UnboundVariable, UniquenessViolated,
-    UnsupportedPremise,
-)
+from .errors import MeadowError, ParseError, SizeOverflow, UnboundVariable
 from .finite_meadows import (
     build_galois_field, build_mdk, build_prime_field, classify_minimal,
     decompose,
@@ -252,29 +247,6 @@ def cmd_classify(bound: int) -> tuple[str, int]:
 
 # --- wiring ------------------------------------------------------------------
 
-_EXIT_CODES: list[tuple[type, int]] = [
-    (ParseError, 2),
-    (FormatError, 2),
-    (NotPrime, 2),
-    (UnsupportedPremise, 2),
-    (NoFiniteCharacteristic, 2),
-    (UniquenessViolated, 2),
-    (UnboundVariable, 3),
-    (MissingInverseTable, 3),
-    (SizeOverflow, 4),
-    (SearchBoundExceeded, 4),
-    (NotRegular, 5),
-    (DecompositionNotFound, 6),
-]
-
-
-def _exit_code(exc: Exception) -> int:
-    for kind, code in _EXIT_CODES:
-        if isinstance(exc, kind):
-            return code
-    return 2
-
-
 # Built once per process: each command's run looks its cmd_* function up
 # when it is called, so rebinding one later still takes effect.
 @functools.cache
@@ -330,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         text, code = args.run(args)
     except MeadowError as exc:
         print(str(exc), file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -2,7 +2,11 @@
 
 
 class MeadowError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``exit_code`` is
+    the CLI's exit status for the error: 2, a parse or model error, unless
+    a subclass says otherwise."""
+
+    exit_code = 2
 
 
 class ParseError(MeadowError):
@@ -26,6 +30,8 @@ class FormatError(MeadowError):
 
 
 class UnboundVariable(MeadowError):
+    exit_code = 3
+
     def __init__(self, name: str):
         super().__init__(f"unbound variable: {name}")
         self.name = name
@@ -33,6 +39,8 @@ class UnboundVariable(MeadowError):
 
 class MissingInverseTable(MeadowError):
     """The term mentions ^-1 but the structure carries no inverse table."""
+
+    exit_code = 3
 
 
 class NoFiniteCharacteristic(MeadowError):
@@ -42,9 +50,13 @@ class NoFiniteCharacteristic(MeadowError):
 class SizeOverflow(MeadowError):
     """A requested carrier or literal would exceed its size bound."""
 
+    exit_code = 4
+
 
 class SearchBoundExceeded(MeadowError):
     """A homomorphism search would enumerate too many candidate maps."""
+
+    exit_code = 4
 
 
 class NotAMeadow(MeadowError):
@@ -60,6 +72,8 @@ class NotPrime(MeadowError):
 class NotRegular(MeadowError):
     """The ring has an element without a pseudoinverse."""
 
+    exit_code = 5
+
     def __init__(self, witness: int):
         super().__init__(f"not regular: witness {witness}")
         self.witness = witness
@@ -71,6 +85,8 @@ class UniquenessViolated(MeadowError):
 
 class DecompositionNotFound(MeadowError):
     """The structure is not a non-trivial meadow, so it has no field decomposition."""
+
+    exit_code = 6
 
 
 class UnsupportedPremise(MeadowError):

@@ -20,10 +20,9 @@ of one, is walked once.  One search then runs the code over the
 assignment grid with numpy, block by block, each block by table lookups
 over broadcast axes.  A grid whose arrays fit a fixed byte budget is a
 single block.  A larger one is searched in blocks of consecutive values
-of one variable, the variables before it pinned value by value: whatever
-does not use the block's variable is hoisted and evaluated once per pin,
-and a block holds as many values as keep a fresh array for every slot
-that varies within it, and two masks, under the budget.  So the memory
+of one variable, the variables before it pinned value by value, and a
+block holds as many values as keep a fresh array for every slot that
+varies within it, and two masks, under the budget.  So the memory
 of a check stays bounded and carriers of a couple hundred elements
 exhaust well inside interactive budgets.  The checker returns the
 lexicographically least falsifying assignment (variables in sorted
@@ -325,45 +324,43 @@ def _compile(s, program):
     return ops, uses, names, [slots[r] for r in program.roots], cells
 
 
-def _broadcast_eval(s, ops, uses, vals, skip, env):
-    """Fill in vals, the values of the slots, by table lookups over
-    broadcast axes, and return it.  env maps each variable to its value:
-    an int when it is pinned, else its values along its own axis.  Slots
-    already filled in, and those that use a variable in the mask skip,
-    are left as they are."""
+def _broadcast_eval(s, ops, env):
+    """The values of the slots, by table lookups over broadcast axes.  env
+    maps each variable to its value: an int when it is pinned, else its
+    values along its own axis."""
     tables = (s._add, s._mul, s._neg, s._inv)
     # An int32 scalar: numpy multiplies arrays by it faster than by an int.
     n = np.int32(s.size)
-    for i, (op, a, b) in enumerate(ops):
-        if vals[i] is not None or uses[i] & skip:
-            continue
+    vals = []
+    for op, a, b in ops:
         if op < _NEG:
-            vals[i] = tables[op].take(vals[a] * n + vals[b])
+            vals.append(tables[op].take(vals[a] * n + vals[b]))
         elif op < _VAR:
-            vals[i] = tables[op].take(vals[a])
+            vals.append(tables[op].take(vals[a]))
         else:
-            vals[i] = a if op == _CONST else env[a]
+            vals.append(a if op == _CONST else env[a])
     return vals
 
 
-def _search(s, ops, uses, names, tests, whole):
+def _search(s, ops, uses, names, tests, cells):
     """The least falsifier of a compiled formula, or None.
 
     With the variables in sorted order, a prefix of them is pinned, value
     by value, and the next one, the head, runs in blocks of consecutive
     values; pins and blocks both ascend, so the first block with a
-    falsifier holds the least one.  A whole grid is one block.  Otherwise
-    the prefix is the shortest one for which one head value fits
-    _BLOCK_BYTES, counting an int32 array over the rest of the grid for
-    every slot that uses the head or a later variable, and two boolean
-    masks; a block holds as many head values as fit.  When a pin has
-    several blocks, the slots without the head are evaluated once for it,
-    before its blocks.
+    falsifier holds the least one.  cells counts the grid cells of all
+    slots (_compile): when those int32 cells and two boolean masks over
+    the grid fit _BLOCK_BYTES, or the formula is closed, the grid is one
+    block and nothing is pinned.  Otherwise the prefix is the shortest one
+    for which one head value fits _BLOCK_BYTES, counting an int32 array
+    over the rest of the grid for every slot that uses the head or a later
+    variable, and two boolean masks; a block holds as many head values as
+    fit.
     """
     n = s.size
     order = sorted(names)
     depth, width = 0, n
-    if not whole:
+    if names and 4 * cells + 2 * n ** len(names) > _BLOCK_BYTES:
         bits = {v: 1 << d for d, v in enumerate(names)}
         later = sum(bits.values())  # the head and the variables after it
         for depth, head in enumerate(order):
@@ -379,15 +376,12 @@ def _search(s, ops, uses, names, tests, whole):
     # followed by len(free) - 1 - i axes of length 1.
     values = np.arange(n, dtype=np.int32)
     axes = {v: values.reshape((-1,) + (1,) * i) for i, v in enumerate(free[::-1])}
-    for pins in itertools.product(range(n), repeat=depth) if depth else [()]:
+    for pins in itertools.product(range(n), repeat=depth):
         env = {**axes, **dict(zip(order, pins))}
-        hoisted = [None] * len(ops)
-        if width < n:
-            _broadcast_eval(s, ops, uses, hoisted, bits[free[0]], env)
         for start in range(0, n, width):
             if width < n:
                 env[free[0]] = axes[free[0]][start:start + width]
-            vals = _broadcast_eval(s, ops, uses, hoisted.copy(), 0, env)
+            vals = _broadcast_eval(s, ops, env)
             test, left, right = tests[0]
             bad = test(vals[left], vals[right])
             for test, left, right in tests[1:]:
@@ -541,16 +535,6 @@ def _find_falsifier(s, formula):
     """
     premises, conclusion = formula.premises, formula.conclusion
     ops, uses, names, roots, cells = _compile(s, formula.program)
-    # tests[0] marks where the conclusion fails, the others where a premise
-    # holds; the falsifiers are where every test is true.
-    tests = [
-        (np.not_equal if isinstance(conclusion, Equation) else np.equal, *roots[:2])
-    ]
-    for k, p in enumerate(premises, 1):
-        test = np.equal if isinstance(p, Equation) else np.not_equal
-        tests.append((test, roots[2 * k], roots[2 * k + 1]))
-    # The int32 slots and two boolean masks over the grid.
-    whole = not names or 4 * cells + 2 * s.size ** len(names) <= _BLOCK_BYTES
     if all(isinstance(atom, Equation) for atom in (conclusion, *premises)):
         slots = len(ops)
         least = slots * (_FACTOR_CELLS_PER_SLOT if premises else _FOLD_CELLS_PER_SLOT)
@@ -568,7 +552,15 @@ def _find_falsifier(s, formula):
                 and all(_find_falsifier(f, formula) is None for f in factors)
             ):
                 return None
-    return _search(s, ops, uses, names, tests, whole)
+    # tests[0] marks where the conclusion fails, the others where a premise
+    # holds; the falsifiers are where every test is true.
+    tests = [
+        (np.not_equal if isinstance(conclusion, Equation) else np.equal, *roots[:2])
+    ]
+    for k, p in enumerate(premises, 1):
+        test = np.equal if isinstance(p, Equation) else np.not_equal
+        tests.append((test, roots[2 * k], roots[2 * k + 1]))
+    return _search(s, ops, uses, names, tests, cells)
 
 
 def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:

@@ -2,8 +2,23 @@ import time
 
 import pytest
 
-from meadows import dump_structure, finite_meadows, load_structure, zmod_ring
+from meadows import (
+    cli, dump_structure, errors, finite_meadows, load_structure, zmod_ring,
+)
 from meadows.cli import main
+
+# The exit code of each error, as the README lists them: 2 for a parse or
+# model error, 3 for an unbound variable or a missing inverse table, 4 for a
+# size or search bound, 5 for a ring that is not regular, 6 for no field
+# decomposition.
+EXIT_CODES = {
+    errors.MeadowError: 2, errors.ParseError: 2, errors.FormatError: 2,
+    errors.NoFiniteCharacteristic: 2, errors.NotAMeadow: 2, errors.NotPrime: 2,
+    errors.UniquenessViolated: 2, errors.UnsupportedPremise: 2,
+    errors.UnboundVariable: 3, errors.MissingInverseTable: 3,
+    errors.SizeOverflow: 4, errors.SearchBoundExceeded: 4,
+    errors.NotRegular: 5, errors.DecompositionNotFound: 6,
+}
 
 
 def run(capsys, *argv):
@@ -422,6 +437,19 @@ class TestPlumbing:
     def test_errors_without_a_text_position(self, capsys, argv, err):
         # A command-line value or a file has no position in a parsed text.
         assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("kind", [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.MeadowError)
+    ], ids=lambda c: c.__name__)
+    def test_every_error_exits_with_its_listed_code(self, capsys, monkeypatch, kind):
+        # Built without __init__, whose signatures differ: main reads only
+        # the message and the exit code.
+        def fail(bound):
+            raise kind.__new__(kind, "boom")
+
+        monkeypatch.setattr(cli, "cmd_classify", fail)
+        assert run(capsys, "classify") == (EXIT_CODES[kind], "", "boom\n")
 
     def test_unknown_model_prefix(self, capsys):
         code, _, err = run(capsys, "eval", "1", "--model", "weird:3")

@@ -159,18 +159,20 @@ class TestCheckEquation:
     def test_chunked_route_agrees(self, monkeypatch):
         # The default budget takes each grid on Md_10 as one block, and
         # budgets from 1 up force smaller blocks.  A spy on _broadcast_eval
-        # records each block as the range of its head values: the sorted
-        # first variable that is not pinned.
-        blocks, calls = [], []
+        # records each block, from its environment alone, as the range of
+        # its head values: the sorted first variable that is not pinned;
+        # None for a closed formula, which has no head.
+        blocks = []
         evaluate = structures_module._broadcast_eval
 
-        def spy(s, ops, uses, vals, skip, env):
-            calls.append(skip)
+        def spy(s, ops, env):
             free = sorted(v for v, x in env.items() if isinstance(x, np.ndarray))
-            if free and not skip:
+            if free:
                 head = env[free[0]].ravel()
                 blocks.append((int(head[0]), int(head[-1]) + 1))
-            return evaluate(s, ops, uses, vals, skip, env)
+            else:
+                blocks.append(None)
+            return evaluate(s, ops, env)
 
         monkeypatch.setattr(structures_module, "_broadcast_eval", spy)
         without_certificate(monkeypatch)
@@ -178,7 +180,7 @@ class TestCheckEquation:
         formulas = [
             parse_equation("x*(y+z) = x*y+x*y"),  # fails somewhere
             MD["distrib"],
-            # premises without x, the first variable, are hoisted
+            # premises without x, the first variable, recur in each x block
             parse_conditional("y*y = y -> x*y = y*x"),
             parse_conditional("y*y = y & z = 1 -> x*y = x"),
             parse_conditional("x = -1 -> y = y+1"),  # fails at x = 9 only
@@ -194,13 +196,12 @@ class TestCheckEquation:
             for budget in (default, 1, *range(100, 12001, 100)):
                 monkeypatch.setattr(structures_module, "_BLOCK_BYTES", budget)
                 blocks.clear()
-                calls.clear()
                 assert check_conditional(md10, formula) == expected, (formula, budget)
-                if not blocks:
-                    assert calls == [0]  # closed: one pass, no head
+                if None in blocks:
+                    assert blocks == [None]  # closed: one pass, no head
                     continue
-                if blocks == [(0, 10)] and calls == [0]:
-                    seen.add("whole grid")  # one pass, nothing hoisted
+                if blocks == [(0, 10)]:
+                    seen.add("whole grid")  # one pass, nothing pinned
                     continue
                 assert budget != default, formula  # every grid here fits it
                 widths = {stop - start for start, stop in blocks}

@@ -34,10 +34,13 @@ def test_run_length_defaults_to_the_declared_one(
     monkeypatch.setattr(bench_pairs, "run", run)
     out = tmp_path / "BENCH.json"
     bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
-                      str(tmp_path / "change"), "--workload", "w", "--pairs",
-                      "1", "--out", str(out), *given])
-    assert lengths == [want, want]
-    assert json.loads(out.read_text())["run_seconds"] == want
+                      str(tmp_path / "change"), "--workload", "w", "--out",
+                      str(out), *given])
+    # Ten pairs by default: a gain is claimed only on at least ten.
+    assert lengths == [want] * 20
+    report = json.loads(out.read_text())
+    assert report["run_seconds"] == want
+    assert report["workloads"]["w"]["pairs"] == 10
 
 
 @pytest.mark.parametrize("better, parent, change, beyond, unresolved", [

@@ -1,16 +1,17 @@
 """Alternating parent/change pairs of the benchmark, reduced to a BENCH file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload exhaust-laws --pairs 4 --first-seed 1001 --out BENCH_7.json
+        --workload exhaust-laws --pairs 10 --first-seed 1001 --out BENCH_7.json
 
 Each pair runs ``perfbench/run.py --workload <w> --seed <s> --seconds <t>
 --trace 0`` once in each checkout, one run at a time, with the same seed on
-both sides; even pairs run the parent first.  Pair i uses seed
-first_seed + i.  The run length ``<t>`` and the end-to-end metrics are the
-ones ``BENCHMARK.json`` of the change declares, unless ``--seconds`` is
-given.  The output keeps every run's value, and per side the median and
-quartiles; ``change_wins`` counts the pairs in which the change read
-better.  A metric with a ``bound`` in ``BENCHMARK.json`` also carries the
+both sides; even pairs run the parent first.  There are ten pairs unless
+``--pairs`` is given, and pair i uses seed first_seed + i.  The run
+length ``<t>`` and the end-to-end metrics are the ones ``BENCHMARK.json``
+of the change declares, unless ``--seconds`` is given.  The output keeps
+every run's value, and per side the median and quartiles;
+``change_wins`` counts the pairs in which the change read better.  A
+metric with a ``bound`` in ``BENCHMARK.json`` also carries the
 benchmark's judgement: ``beyond_bound`` when the change median is worse
 than the parent median by more than the bound, and ``unresolved`` when the
 parent's quartile spread exceeds the bound times its median and not every
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1001)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", type=Path, required=True)
