@@ -16,15 +16,20 @@ program (``formula.program``).  Each structure folds it into
 straight-line code of table lookups: closed subterms become constants
 through the structure's tables, and shapes that fold alike share one
 slot.  So a formula checked on many structures, or on the field factors
-of one, is walked once.  One search then runs the code over the
-assignment grid with numpy, block by block, each block by table lookups
-over broadcast axes.  A grid whose arrays fit a fixed byte budget is a
-single block.  A larger one is searched in blocks of consecutive values
-of one variable, the variables before it pinned value by value, and a
-block holds as many values as keep a fresh array for every slot that
-varies within it, and two masks, under the budget.  So the memory
-of a check stays bounded and carriers of a couple hundred elements
-exhaust well inside interactive budgets.  The checker returns the
+of one, is walked once.  What a check needs of the formula alone, its
+sorted variables and one numpy test per atom, is kept on the formula
+too, and what it needs of the structure alone, its arange axes, on the
+structure.  One search then runs the code over the assignment grid with
+numpy, block by block, each block by table lookups over broadcast axes.
+A grid whose arrays fit a fixed byte budget is a single block.  A larger
+one is searched in blocks of consecutive values of one variable, the
+variables before it pinned value by value, and a block holds as many
+values as keep a fresh array for every slot that varies within it, and
+two masks, under the budget.  So the memory of a check stays bounded and
+carriers of a couple hundred elements exhaust well inside interactive
+budgets.  A grid that costs more than folding its slots would first
+searches the first variable's value 0 alone, where most failing
+equations have their least falsifier.  The checker returns the
 lexicographically least falsifying assignment (variables in sorted
 order), so results are deterministic.  ``eval_term`` evaluates single
 points by plain structural recursion and is the independent oracle the
@@ -35,28 +40,34 @@ interpreter's recursion limit, such as a long sum, still exhausts the
 stack there.
 
 An equation or a quasi-identity (a conditional whose premises are all
-equations) is first decided on zero-totalized fields when that is expected
-to cost less than its grid, counting the ``decompose`` it needs when the
-structure has not been decomposed yet; the grid's cost is its cells, and
-the certificate's is a measured cost per slot of the fold or of each
-factor.  ``decompose`` certifies the fields: a structure with one
-field component is isomorphic to that canonical field, and otherwise its
-diagonal is an injective homomorphism, inverse included, into the product
-of its factors.  On a field of q elements every function is exactly one
-polynomial of degree below q in each variable, so an equation holds there
-when its two sides reduce to the same polynomial; the coefficients are
-computed with the field's own tables.  Quasi-identities are preserved by
-products and by substructures, so one that holds on every factor holds on
-the structure, and a few small grids, or polynomials, replace one large
-one.  Only "holds" comes from the fields: when a certificate would cost
-more than the grid, when the formula has a disequation, or premises on a
-field, when the polynomials differ or their fold gives up, when a factor
-fails, or when the structure does not decompose, the grid of the
-structure itself is searched, so verdicts and least witnesses are those
-of the grid.  What ``decompose`` certifies is
-computed on first use and kept on the structure, without a canonical copy
-of a field; writing it onto an immutable structure is idempotent, as
-every computation gives the same.
+equations) is first decided on zero-totalized fields when that is
+expected to cost less than its grid, counting the ``decompose`` it needs
+when the structure has not been decomposed yet and its grids have not
+yet spent as many cells as that ``decompose`` costs; the grid's cost is
+its cells, and the certificate's is a measured cost per slot of the fold
+or of each factor.  So a single check never pays for a ``decompose``
+that costs more than its grid, while a structure checked again and again
+pays for one once its grids have cost as much.  ``decompose`` certifies
+the fields: a structure with one field component is isomorphic to that
+canonical field, and otherwise its diagonal is an injective
+homomorphism, inverse included, into the product of its factors.  On a
+field of q elements every function is exactly one polynomial of degree
+below q in each variable, so an equation holds there when its two sides
+reduce to the same polynomial; the coefficients are computed with the
+field's own tables.  Quasi-identities are preserved by products and by
+substructures, so one that holds on every factor holds on the structure,
+and a few small grids, or polynomials, replace one large one.  Only
+"holds" comes from the fields: when a certificate would cost more than
+the grid, when the formula has a disequation, or premises on a field,
+when the polynomials differ or their fold gives up, when a factor fails,
+or when the structure does not decompose, the grid of the structure
+itself is searched, so verdicts and least witnesses are those of the
+grid.  What ``decompose`` certifies is computed on first use and kept on
+the structure, without a canonical copy of a field.  Everything the
+checker keeps on a structure is in one record set at construction
+(``_Kept``); filling it in on an immutable structure is idempotent, as
+every computation gives the same, and the grid cells it counts move
+time, never a verdict.
 """
 
 from __future__ import annotations
@@ -159,6 +170,24 @@ class _TupleView:
         return view
 
 
+class _Kept:
+    """What the checker keeps on a structure, computed from the structure
+    alone: ``fields``, what decompose certifies (_fields), None until the
+    checker asks for it; ``spent``, the grid cells of the equational checks
+    sent to its grid so far, each counted whole as the certificate gate
+    prices it, even when the search stops at an early falsifier; ``axes``,
+    where ``axes[j]`` is the carrier as an int32 arange followed by j axes
+    of length 1, replaced by a longer list when a check needs more axes.
+    Nothing here depends on a formula."""
+
+    __slots__ = ("fields", "spent", "axes")
+
+    def __init__(self):
+        self.fields = None
+        self.spent = 0
+        self.axes = []
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteStructure:
     """Operation tables for {0, 1, +, -, *} and optionally ^-1.
@@ -205,6 +234,9 @@ class FiniteStructure:
                 message = f"{label} row is not a map on the carrier"
                 table = _int32(table, (n,), n, message, message)
             object.__setattr__(self, "_" + label, table)
+        # Set here, so that no attribute is added after construction: a
+        # late one costs every later attribute read of the instance.
+        object.__setattr__(self, "_kept", _Kept())
 
     def _key(self):
         # Equality and hashing compare the tables as bytes, which are equal
@@ -342,7 +374,28 @@ def _broadcast_eval(s, ops, env):
     return vals
 
 
-def _search(s, ops, uses, names, tests, cells):
+def _plan(formula):
+    """What a check needs of a formula besides its program, kept on the
+    formula as its program is: whether every atom is an equation, the
+    variables in sorted order, and one test per atom.  tests[0] marks
+    where the conclusion fails, the others where a premise holds; the
+    falsifiers are where every test is true."""
+    try:
+        return formula._plan
+    except AttributeError:
+        conclusion, premises = formula.conclusion, formula.premises
+        plan = (
+            all(isinstance(atom, Equation) for atom in (conclusion, *premises)),
+            sorted(formula.variables()),
+            (np.not_equal if isinstance(conclusion, Equation) else np.equal,
+             *(np.equal if isinstance(p, Equation) else np.not_equal
+               for p in premises)),
+        )
+        object.__setattr__(formula, "_plan", plan)
+        return plan
+
+
+def _search(s, ops, uses, names, roots, plan, cells):
     """The least falsifier of a compiled formula, or None.
 
     With the variables in sorted order, a prefix of them is pinned, value
@@ -355,10 +408,13 @@ def _search(s, ops, uses, names, tests, cells):
     for which one head value fits _BLOCK_BYTES, counting an int32 array
     over the rest of the grid for every slot that uses the head or a later
     variable, and two boolean masks; a block holds as many head values as
-    fit.
+    fit.  When the grid costs more than folding its slots would
+    (_FOLD_CELLS_PER_SLOT), the first pin's head value 0 is a block of its
+    own, and that pin's blocks go on from 1: the least assignments are
+    tried first, for the price of one more pass.
     """
     n = s.size
-    order = sorted(names)
+    _, order, tests = plan
     depth, width = 0, n
     if names and 4 * cells + 2 * n ** len(names) > _BLOCK_BYTES:
         bits = {v: 1 << d for d, v in enumerate(names)}
@@ -372,26 +428,56 @@ def _search(s, ops, uses, names, tests, cells):
             later ^= bits[head]
         width = min(n, max(1, _BLOCK_BYTES // per_value))
     free = order[depth:]
-    # free[i] runs along axis i of len(free): one arange, as n values
-    # followed by len(free) - 1 - i axes of length 1.
-    values = np.arange(n, dtype=np.int32)
-    axes = {v: values.reshape((-1,) + (1,) * i) for i, v in enumerate(free[::-1])}
+    kept = s._kept
+    axes = kept.axes
+    if len(axes) < len(free):
+        # Replaced whole, never grown in place, so that a check in another
+        # thread reads one complete list or the other.
+        axes = kept.axes = [
+            np.arange(n, dtype=np.int32).reshape((-1,) + (1,) * j)
+            for j in range(len(free))
+        ]
+    # free[i] runs along axis i of len(free): n values followed by
+    # len(free) - 1 - i axes of length 1.
+    env = dict(zip(free, axes[len(free) - 1::-1]))
+    # The head's values in blocks of width, as views of its axis.
+    head, blocks = None, [None]  # a closed formula is one block
+    if free:
+        head, axis = free[0], env[free[0]]
+        if width < n:
+            blocks = [axis[a:a + width] for a in range(0, n, width)]
+        else:
+            blocks = [axis]
+    first = blocks
+    if free and cells > len(ops) * _FOLD_CELLS_PER_SLOT:
+        first = [axis[:1], *(axis[a:a + width] for a in range(1, n, width))]
+    if not depth:
+        return _search_blocks(s, ops, roots, tests, order, env, head, first)
     for pins in itertools.product(range(n), repeat=depth):
-        env = {**axes, **dict(zip(order, pins))}
-        for start in range(0, n, width):
-            if width < n:
-                env[free[0]] = axes[free[0]][start:start + width]
-            vals = _broadcast_eval(s, ops, env)
-            test, left, right = tests[0]
-            bad = test(vals[left], vals[right])
-            for test, left, right in tests[1:]:
-                bad = bad & test(vals[left], vals[right])
-            if bad.any():
-                # Every variable occurs in a test, so bad spans the block.
-                cell = np.unravel_index(int(bad.argmax()), bad.shape)
-                return {
-                    v: int(np.broadcast_to(env[v], bad.shape)[cell]) for v in order
-                }
+        env.update(zip(order, pins))
+        witness = _search_blocks(s, ops, roots, tests, order, env, head, first)
+        if witness is not None:
+            return witness
+        first = blocks
+    return None
+
+
+def _search_blocks(s, ops, roots, tests, order, env, head, blocks):
+    """The least falsifier in the blocks of one pin, each an ascending
+    run of the head's values, in order; None if they hold none."""
+    for block in blocks:
+        if head is not None:
+            env[head] = block
+        vals = _broadcast_eval(s, ops, env)
+        bad = tests[0](vals[roots[0]], vals[roots[1]])
+        for k in range(1, len(tests)):
+            bad = bad & tests[k](vals[roots[2 * k]], vals[roots[2 * k + 1]])
+        if np.count_nonzero(bad):
+            # Every variable occurs in a test, so bad spans the block.
+            cell = np.unravel_index(int(bad.argmax()), bad.shape)
+            return {
+                v: int(np.broadcast_to(env[v], bad.shape)[cell]) for v in order
+            }
     return None
 
 
@@ -405,8 +491,8 @@ def _fields(s):
     the start.  The checker asks for it only when the certificate it makes
     possible, with this decompose, is expected to cost less than the grid
     (_find_falsifier)."""
-    fields = getattr(s, "_fields", None)
-    if fields is None:
+    kept = s._kept
+    if kept.fields is None:
         from .finite_meadows import decompose  # it imports this module
 
         try:
@@ -414,11 +500,10 @@ def _fields(s):
         except (MeadowError, ValueError):
             components = ()
         factors = tuple({h.target.name: h.target for h in components}.values())
-        fields = (len(components) == 1, factors if len(components) > 1 else ())
-        for f in fields[1]:
-            object.__setattr__(f, "_fields", (True, ()))
-        object.__setattr__(s, "_fields", fields)
-    return fields
+        kept.fields = (len(components) == 1, factors if len(components) > 1 else ())
+        for f in kept.fields[1]:
+            f._kept.fields = (True, ())
+    return kept.fields
 
 
 def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
@@ -441,10 +526,14 @@ def field_factors(s: FiniteStructure) -> tuple[FiniteStructure, ...]:
 # - a factor takes one _compile and one search, or fold, of its own, about
 #   3 us per slot over MD laws, derived identities and encodings of
 #   seeded conditionals (120 us for a 40-slot encoding);
-# - decompose, on a structure that does not keep _fields yet, takes 0.5 ms
-#   on Md_15 to 8 ms on Md_210, about 0.4 ms and 90 ns per entry of a
-#   table, more with more components.  So a check made once, on a fresh
-#   Md_30, does not pay 1.4 ms of decompose to spare 0.13 ms of grid.
+# - decompose, on a structure that does not keep its fields yet, takes
+#   0.5 ms on Md_15 to 8 ms on Md_210, about 0.4 ms and 90 ns per entry of
+#   a table, more with more components.  So a check made once, on a fresh
+#   Md_30, does not pay 1.4 ms of decompose to spare 0.13 ms of grid.  The
+#   price is dropped once the structure's equational checks have spent
+#   that many cells on their grids (_Kept.spent): from then on a session
+#   that keeps checking the structure has paid for the decompose, and at
+#   most doubles what its grids cost it.
 # Only "holds" comes from a certificate, so the constants move time, never
 # a verdict or a witness.
 _FOLD_CELLS_PER_SLOT = 600
@@ -520,29 +609,34 @@ def _find_falsifier(s, formula):
 
     Returns None when no such assignment exists.  Variables are ordered by
     name, which fixes the lexicographic order.  The formula's program is
-    folded on s (_compile) and its grid searched (_search): whole when its
-    slots all fit _BLOCK_BYTES, else in blocks.  When every atom is an
-    equation, a zero-totalized field may certify that the formula holds
-    first: an equation on s itself when s is a field and both sides fold
-    to one polynomial (_same_polynomial), or the formula on every field
-    factor of s, each decided the same way.  A certificate is tried only
-    when the grid's cells exceed its expected cost in cells: the fold, or
-    each factor's check, per slot, and the decompose of s when s does not
-    keep _fields yet.  Which certificate s admits is known only after that
-    decompose, so the cheaper one sets the first gate, and the factors are
-    gated again by their number.  A field has no field factors, so the
-    recursion stops there.
+    folded on s (_compile) and its grid searched (_search).  When every
+    atom is an equation, a zero-totalized field may certify that the
+    formula holds first: an equation on s itself when s is a field and
+    both sides fold to one polynomial (_same_polynomial), or the formula on
+    every field factor of s, each decided the same way.  A certificate is
+    tried only when the grid's cells exceed its expected cost in cells:
+    the fold, or each factor's check, per slot, and the decompose of s
+    while s does not keep its fields yet and its equational checks have
+    spent fewer grid cells than that decompose costs.  Which certificate s
+    admits is known only after that decompose, so the cheaper one sets the
+    first gate, and the factors are gated again by their number.  A field
+    has no field factors, so the recursion stops there.
     """
-    premises, conclusion = formula.premises, formula.conclusion
+    equational, _, _ = plan = _plan(formula)
     ops, uses, names, roots, cells = _compile(s, formula.program)
-    if all(isinstance(atom, Equation) for atom in (conclusion, *premises)):
+    if equational:
+        kept = s._kept
         slots = len(ops)
-        least = slots * (_FACTOR_CELLS_PER_SLOT if premises else _FOLD_CELLS_PER_SLOT)
-        if getattr(s, "_fields", None) is None:
-            least += _DECOMPOSE_CELLS + _DECOMPOSE_CELLS_PER_ENTRY * s.size**2
+        least = slots * (
+            _FACTOR_CELLS_PER_SLOT if formula.premises else _FOLD_CELLS_PER_SLOT
+        )
+        if kept.fields is None:
+            price = _DECOMPOSE_CELLS + _DECOMPOSE_CELLS_PER_ENTRY * s.size**2
+            if kept.spent < price:
+                least += price
         if cells > least:
             if (
-                not premises and _fields(s)[0]
+                not formula.premises and _fields(s)[0]
                 and _same_polynomial(s, ops, uses, roots, cells)
             ):
                 return None
@@ -552,15 +646,8 @@ def _find_falsifier(s, formula):
                 and all(_find_falsifier(f, formula) is None for f in factors)
             ):
                 return None
-    # tests[0] marks where the conclusion fails, the others where a premise
-    # holds; the falsifiers are where every test is true.
-    tests = [
-        (np.not_equal if isinstance(conclusion, Equation) else np.equal, *roots[:2])
-    ]
-    for k, p in enumerate(premises, 1):
-        test = np.equal if isinstance(p, Equation) else np.not_equal
-        tests.append((test, roots[2 * k], roots[2 * k + 1]))
-    return _search(s, ops, uses, names, tests, cells)
+        kept.spent += cells
+    return _search(s, ops, uses, names, roots, plan, cells)
 
 
 def check_equation(s: FiniteStructure, eq: Equation) -> Verdict:

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -114,6 +116,27 @@ class TestEval:
                 acc = s.add[acc][s.one]
 
 
+def record_blocks(monkeypatch):
+    """A spy on _broadcast_eval that records each block, from its
+    environment alone, as the range of its head values: the sorted first
+    variable that is not pinned; None for a closed formula, which has no
+    head.  Returns the list it appends to."""
+    blocks = []
+    evaluate = structures_module._broadcast_eval
+
+    def spy(s, ops, env):
+        free = sorted(v for v, x in env.items() if isinstance(x, np.ndarray))
+        if free:
+            head = env[free[0]].ravel()
+            blocks.append((int(head[0]), int(head[-1]) + 1))
+        else:
+            blocks.append(None)
+        return evaluate(s, ops, env)
+
+    monkeypatch.setattr(structures_module, "_broadcast_eval", spy)
+    return blocks
+
+
 class TestCheckEquation:
     def test_closed_failure_with_empty_witness(self):
         verdict = check_equation(Z2, parse_equation("(1+1)*(1+1)^-1 = 1"))
@@ -158,23 +181,8 @@ class TestCheckEquation:
 
     def test_chunked_route_agrees(self, monkeypatch):
         # The default budget takes each grid on Md_10 as one block, and
-        # budgets from 1 up force smaller blocks.  A spy on _broadcast_eval
-        # records each block, from its environment alone, as the range of
-        # its head values: the sorted first variable that is not pinned;
-        # None for a closed formula, which has no head.
-        blocks = []
-        evaluate = structures_module._broadcast_eval
-
-        def spy(s, ops, env):
-            free = sorted(v for v, x in env.items() if isinstance(x, np.ndarray))
-            if free:
-                head = env[free[0]].ravel()
-                blocks.append((int(head[0]), int(head[-1]) + 1))
-            else:
-                blocks.append(None)
-            return evaluate(s, ops, env)
-
-        monkeypatch.setattr(structures_module, "_broadcast_eval", spy)
+        # budgets from 1 up force smaller blocks.
+        blocks = record_blocks(monkeypatch)
         without_certificate(monkeypatch)
         md10 = build_mdk(10)
         formulas = [
@@ -297,6 +305,112 @@ class TestCheckEquation:
         with pytest.raises(MissingInverseTable):
             check_conditional(zmod_ring(k), parse_conditional(text))
 
+    def test_threads_sharing_a_fresh_structure_agree(self):
+        # Checks of one, two and three variables start together on a fresh
+        # structure, so they grow its kept axes at the same time.  A lost or
+        # doubled axis broadcasts two variables along one axis, and the
+        # least witnesses off the diagonal below would change.
+        formulas = [parse_equation(text) for text in (
+            "x*x = x", "x*y = x", "x+y = y", "x*(y+z) = x*y", "x*y*z = z+x",
+        )]
+        expected = [brute_force(MD6, formula) for formula in formulas]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                s = dataclasses.replace(MD6)
+                barrier = threading.Barrier(2 * len(formulas))
+                results = [None] * (2 * len(formulas))
+
+                def work(i):
+                    barrier.wait(timeout=10)
+                    results[i] = check_equation(s, formulas[i // 2])
+
+                threads = [
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(len(results))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [v for v in expected for _ in range(2)]
+        finally:
+            sys.setswitchinterval(switch)
+
+
+class TestFirstBlock:
+    """A grid that costs more than folding its slots first searches the
+    first pin's head value 0 alone, which holds the least assignments, and
+    then goes on from value 1 with its usual blocks."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        without_certificate(monkeypatch)
+        return record_blocks(monkeypatch)
+
+    @staticmethod
+    def takes_first_block(s, formula):
+        ops, *_, cells = structures_module._compile(s, formula.program)
+        return cells > len(ops) * structures_module._FOLD_CELLS_PER_SLOT
+
+    @pytest.mark.parametrize("k, text, head, searched", [
+        (30, "x*y*z = z", 0, [(0, 1)]),  # least witness at x = 0
+        (30, "x*(y+z) = x*y", 1, [(0, 1), (1, 30)]),
+        (31, "((x+1)*(x+1)^-1)*(y+z) = y+z", 30, [(0, 1), (1, 31)]),  # x = -1 only
+        (30, "x*(y+z) = x*y+x*z", None, [(0, 1), (1, 30)]),  # holds
+        (30, "x*x = x & y*y = y -> x*(y+z) = x*y+x*z", None, [(0, 1), (1, 30)]),
+        (30, "x*x = x & y*y = y -> x*y*z = z", 0, [(0, 1)]),
+        (30, "x*x = x & x != 0 -> x*(y+z) = x*y", 1, [(0, 1), (1, 30)]),
+    ])
+    def test_agrees_with_brute_force(self, blocks, k, text, head, searched):
+        s = build_mdk(k)
+        formula = parse_formula(text)
+        assert self.takes_first_block(s, formula)
+        expected = brute_force(s, formula)
+        assert check_conditional(s, formula) == expected
+        assert (expected.witness or {}).get("x") == head
+        # The first block covers one head value.
+        assert blocks == searched
+
+    def test_cheap_grid_is_one_block(self, blocks):
+        formula = parse_conditional("y*y = y & z = z -> x*y = x")
+        assert not self.takes_first_block(MD6, formula)
+        assert check_conditional(MD6, formula) == brute_force(MD6, formula)
+        assert blocks == [(0, 6)]
+
+    @pytest.mark.parametrize("text", ["x*(y+z) = x*y+x*z", "y*(x+z) = (x+y)*z"])
+    def test_pinned_grid(self, blocks, monkeypatch, text):
+        # Under a budget of 2000 bytes x is pinned and y, the head, runs in
+        # blocks of two values: for x = 0, y = 0 alone and then from 1; for
+        # every later x, from 0.
+        monkeypatch.setattr(structures_module, "_BLOCK_BYTES", 2000)
+        md30 = build_mdk(30)
+        formula = parse_equation(text)
+        assert self.takes_first_block(md30, formula)
+        expected = brute_force(md30, formula)
+        assert check_conditional(md30, formula) == expected
+        first_pin = [(0, 1), *((y, y + 2) for y in range(1, 29, 2)), (29, 30)]
+        later_pin = [(y, y + 2) for y in range(0, 30, 2)]
+        if expected.holds:
+            assert blocks == first_pin + later_pin * 29
+        else:
+            # y*(x+z) = (x+y)*z holds at x = 0 and fails at x = 1, y = 0.
+            assert expected.witness == {"x": 1, "y": 0, "z": 1}
+            assert blocks == first_pin + later_pin[:1]
+
+    def test_pinned_grid_with_whole_head_blocks(self, blocks, monkeypatch):
+        # Under 25 000 bytes x is pinned and a block holds every y: for
+        # x = 0, y = 0 alone and then the rest; for x = 1, every y again.
+        monkeypatch.setattr(structures_module, "_BLOCK_BYTES", 25_000)
+        md30 = build_mdk(30)
+        formula = parse_equation("y*(x+z) = (x+y)*z")
+        expected = brute_force(md30, formula)
+        assert expected.witness == {"x": 1, "y": 0, "z": 1}
+        assert check_conditional(md30, formula) == expected
+        assert blocks == [(0, 1), (1, 30), (0, 30)]
+
 
 class TestFieldFactors:
     """Equations and quasi-identities whose grid costs more than checking
@@ -362,9 +476,9 @@ class TestFieldFactors:
         md30 = build_mdk(30)
         assert len(field_factors(md30)) == 3
         ring = dataclasses.replace(md30, inv=None)
-        assert "_fields" not in vars(ring)
+        assert ring._kept.fields is None
         assert field_factors(ring) == ()
-        assert "_fields" not in vars(dataclasses.replace(md30))
+        assert dataclasses.replace(md30)._kept.fields is None
 
     @pytest.mark.parametrize(
         "laws", [MD, SIP, DERIVED_IDENTITIES, {"GIL": GIL}],
@@ -594,7 +708,8 @@ class TestCertificateCost:
     """At the default costs, a certificate is tried exactly where it is
     expected to cost less than the grid: on Md_59 and Md_58, whose grids
     fit one block, and not for a single small check on a fresh structure,
-    which would pay for the decompose."""
+    which would pay for the decompose, until the structure's equational
+    checks have spent that decompose's price on their grids."""
 
     LAWS = ("add_assoc", "mul_assoc", "distrib")
 
@@ -632,7 +747,32 @@ class TestCertificateCost:
         assert check_equation(md6, MD["add_assoc"]).holds
         assert check_equation(md30, eq).holds
         assert calls["searched"] == ["Md_6", "Md_30"]
-        assert "_fields" not in vars(md6) and "_fields" not in vars(md30)
+        assert md6._kept.fields is None and md30._kept.fields is None
+
+    def test_spent_grid_cells_pay_for_the_decompose(self, calls):
+        # add_assoc on Md_47 fills 212 205 cells, and its decompose is
+        # priced at 216 270: the first check alone would not pay for it,
+        # but the first two have, so the third is decided on the field.
+        md47 = build_mdk(47)
+        law = MD["add_assoc"]
+        cells = structures_module._compile(md47, law.program)[-1]
+        price = (
+            structures_module._DECOMPOSE_CELLS
+            + structures_module._DECOMPOSE_CELLS_PER_ENTRY * 47**2
+        )
+        assert (cells, price) == (212_205, 216_270)
+        for searched in (["Md_47"], ["Md_47"] * 2, ["Md_47"] * 2, ["Md_47"] * 2):
+            assert check_equation(md47, law) == Verdict(True)
+            assert calls["searched"] == searched
+        assert md47._kept.fields == (True, ())
+        assert md47._kept.spent == 2 * cells
+
+    def test_spent_cells_count_only_equational_checks(self, calls):
+        # GIL has a disequation, so no certificate could spare its grid.
+        md47 = build_mdk(47)
+        for _ in range(3):
+            assert check_conditional(md47, GIL) == Verdict(True)
+        assert md47._kept.spent == 0 and md47._kept.fields is None
 
 
 class TestAxiomSets:

@@ -90,3 +90,52 @@ def test_peak_memory_is_fitted_against_the_operations(bench_pairs):
     }
     one = bench_pairs.against_attempted(runs["parent"][:1], "peak_rss_mb")
     assert one == {"intercept_mb": None, "bytes_per_op": None}
+
+
+CHECK_COST = TOOL.parent / "check_cost.py"
+
+
+@pytest.fixture
+def check_cost():
+    spec = importlib.util.spec_from_file_location("check_cost", CHECK_COST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_check_cost_times_the_checks(check_cost, capsys):
+    assert check_cost.main(["--number", "5", "--repeat", "1", "--top", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:5]] == [
+        ["mul_one", "Md_210"], ["add_comm", "Md_6"],
+        ["distrib", "Md_30"], ["implicit_inverse", "Md_30"],
+    ]
+    assert lines[5].startswith("route census, round 2 of 2 on squarefree Md_k <= 10")
+
+
+def test_check_cost_census_counts_every_check_once(check_cost):
+    import meadows.structures as structures
+
+    real = structures._search
+    routes = check_cost.census(top=30, rounds=2, seeded=4, seed=3)
+    assert structures._search is real  # the spies are removed
+    # In the second round on the squarefree Md_k <= 30, the structures
+    # whose grids have paid for their decompose decide some laws on fields.
+    assert {"fold", "factors"} <= routes.keys()
+    assert all(
+        route in ("fold", "factors", "first block") or route.startswith("grid 1e")
+        for route in routes
+    )
+    squarefree = [k for k in range(1, 31) if all(k % (p * p) for p in (2, 3, 5))]
+    per_structure = 10 + 3 + 8 + 1 + 4  # MD, SIP, derived, GIL, seeded
+    assert sum(n for n, _ in routes.values()) == len(squarefree) * per_structure
+
+
+def test_check_cost_tells_a_first_block_hit_from_the_grid(check_cost):
+    from meadows import build_mdk, parse_equation
+
+    md30 = build_mdk(30)
+    with check_cost.Routes() as routes:
+        # Least witnesses at x = 0, in the first block, and at x = 1.
+        assert routes.check(md30, parse_equation("x*y*z = z"))[0] == "first block"
+        assert routes.check(md30, parse_equation("x*(y+z) = x*y"))[0] == "grid 1e4"
