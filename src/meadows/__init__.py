@@ -36,7 +36,7 @@ from .structures import (
     MAX_TABLE_ENTRIES, Assignment, FiniteStructure, Homomorphism,
     PrincipalIdeal, Verdict,
     characteristic, check_axiom_set, check_conditional, check_equation,
-    dump_structure, eval_term, field_factors, find_homomorphisms,
+    dump_structure, eval_term, field_factors, find_homomorphisms, fold_point,
     generating_set, idempotents, is_meadow, is_minimal, is_nontrivial,
     is_zt_field,
     load_structure, principal_ideal, product, product_coords, product_index,

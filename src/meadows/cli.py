@@ -10,9 +10,10 @@ Model references:
 * ``prod:<a>,<b>``   product of model references (one level deep)
 
 Exit codes: 0 success/valid, 1 some checked formula is invalid, 2 parse or
-model error, 3 unbound variable or missing inverse table, 4 a size or
-search bound was hit, 5 the ring is not regular, 6 no field decomposition:
-the input is not a non-trivial meadow.
+model error, or an --out file that cannot be written, 3 unbound variable
+or missing inverse table, 4 a size or search bound was hit, or the input
+exhausted the stack or memory, 5 the ring is not regular, 6 no field
+decomposition: the input is not a non-trivial meadow.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .finite_meadows import (
 from .logic import encode_conditional, format_equation, parse_formula
 from .rationals import eval_rational, parse_rational, sample_check_conditional
 from .structures import (
-    FiniteStructure, dump_structure, eval_term, load_structure, product,
+    FiniteStructure, dump_structure, fold_point, load_structure, product,
 )
 from .suites import battery_check
 from .terms import parse_term, term_size
@@ -141,7 +142,7 @@ def cmd_eval(term_text: str, model_spec: str, assign_text: str) -> tuple[str, in
         suffix = " (unsafe)" if trace.unsafe_division_used else ""
         return f"{trace.value}{suffix}\n", 0
     binding = _parse_assignment(assign_text, functools.partial(_carrier_value, model))
-    return f"{eval_term(term, model, binding)}\n", 0
+    return f"{fold_point(term, model, binding)}\n", 0
 
 
 def cmd_check(
@@ -306,8 +307,19 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        # The last resort: an input that outgrew the interpreter's stack or
+        # the process's memory past every bound checked before.
+        what = "stack" if isinstance(exc, RecursionError) else "memory"
+        print(f"a size bound was hit: the input exhausted the {what}",
+              file=sys.stderr)
+        return SizeOverflow.exit_code
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -125,14 +125,45 @@ class EvalTrace:
     unsafe_division_used: bool
 
 
+# The fold runs on canonical (numerator, denominator) pairs of ints, as
+# RationalZT holds them; a RationalZT is built only for a value that leaves
+# the fold.
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if a[1] == 1 and b[1] == 1:
+        return a[0] + b[0], 1
+    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if a[1] == 1 and b[1] == 1:
+        return a[0] * b[0], 1
+    num, den = a[0] * b[0], a[1] * b[1]
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _neg(a: tuple) -> tuple:
+    return -a[0], a[1]
+
+
+def _inv(a: tuple) -> tuple:
+    num, den = a
+    if num == 0:
+        return a
+    return (den, num) if num > 0 else (-den, -num)
+
+
 class _Program:
-    """A Program folded over Q0 as straight-line code: closed shapes are
-    valued here, once, and ``run`` values the others."""
+    """A Program folded over Q0 as straight-line code on int pairs: closed
+    shapes are valued here, once, and ``run`` values the others."""
 
     def __init__(self, program: Program):
-        ops = {Add: q_add, Mul: q_mul, Neg: q_neg, Inv: q_inv}
+        ops = {Add: _add, Mul: _mul, Neg: _neg, Inv: _inv}
         # By shape: the value of a closed subterm, None for the others.
-        self.values: list[RationalZT | None] = []
+        self.values: list[tuple | None] = []
         self.variables: list[tuple[int, str]] = []  # (shape, name)
         self.code: list[tuple] = []  # (shape, op, a, b), b None for - and ^-1
         # The shape under each ^-1.
@@ -144,7 +175,7 @@ class _Program:
             if kind is Var:
                 self.variables.append((i, a))
             elif kind is Zero or kind is One:
-                value = Q_ZERO if kind is Zero else Q_ONE
+                value = (0, 1) if kind is Zero else (1, 1)
             elif values[a] is None or b is not None and values[b] is None:
                 self.code.append((i, ops[kind], a, b))
             else:
@@ -153,14 +184,15 @@ class _Program:
             values.append(value)
 
     def run(self, binding: Mapping[str, RationalZT]) -> list:
-        """The value of every slot at binding; the list is reused by the
-        next run."""
+        """The value of every slot at binding, as an int pair; the list is
+        reused by the next run."""
         values = self.values
         for i, name in self.variables:
             try:
-                values[i] = binding[name]
+                q = binding[name]
             except KeyError:
                 raise UnboundVariable(name) from None
+            values[i] = q.numerator, q.denominator
         for i, op, a, b in self.code:
             values[i] = op(values[a]) if b is None else op(values[a], values[b])
         return values
@@ -173,8 +205,8 @@ def eval_rational(
     program = _Program(t.program)
     values = program.run(binding or {})
     return EvalTrace(
-        values[program.roots[0]],
-        any(values[a].is_zero() for a in program.inverted),
+        RationalZT(*values[program.roots[0]]),
+        any(values[a][0] == 0 for a in program.inverted),
     )
 
 

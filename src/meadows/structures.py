@@ -34,10 +34,11 @@ lexicographically least falsifying assignment (variables in sorted
 order), so results are deterministic.  ``eval_term`` evaluates single
 points by plain structural recursion and is the independent oracle the
 checker is tested against.  It is the one walk over terms that still
-recurses: an oracle is kept as simple as it can be, and an iterative one
-measured slower on the CLI's ``eval``.  So a term nested deeper than the
-interpreter's recursion limit, such as a long sum, still exhausts the
-stack there.
+recurses, as an oracle is kept as simple as it can be, so a term nested
+deeper than the interpreter's recursion limit, such as a long sum,
+exhausts the stack there.  ``fold_point``, which the CLI's ``eval``
+uses, folds the term's kept program through the tables instead and takes
+any depth.
 
 An equation or a quasi-identity (a conditional whose premises are all
 equations) is first decided on zero-totalized fields when that is
@@ -89,8 +90,8 @@ from .terms import Add, Inv, Mul, Neg, One, Term, Var, Zero
 __all__ = [
     "Assignment", "Verdict", "FiniteStructure", "Homomorphism",
     "PrincipalIdeal",
-    "eval_term", "check_equation", "check_conditional", "check_axiom_set",
-    "field_factors",
+    "eval_term", "fold_point", "check_equation", "check_conditional",
+    "check_axiom_set", "field_factors",
     "is_meadow", "is_nontrivial", "is_zt_field", "satisfies_iel",
     "MAX_TABLE_ENTRIES", "check_table_bound",
     "characteristic", "product", "product_index", "product_coords",
@@ -297,6 +298,40 @@ def eval_term(t: Term, s: FiniteStructure, assignment: Mapping[str, int] | None 
         return rec(t)
     finally:
         del rec
+
+
+def fold_point(t: Term, s: FiniteStructure, assignment: Mapping[str, int]) -> int:
+    """The value of t at one point: its kept program folded to one element
+    through the tables, shape by shape, so no depth exhausts the stack.
+    The values of the assignment must lie in the carrier.  Where both a
+    missing inverse table and an unbound variable apply, the missing table
+    is reported, as the checker reports it."""
+    shapes = t.program.shapes
+    if s._inv is None and any(kind is Inv for kind, _, _ in shapes):
+        raise MissingInverseTable(
+            f"{s.name} has no inverse table but the term uses ^-1"
+        )
+    add, mul, neg = s._add.item, s._mul.item, s._neg.item
+    inv = None if s._inv is None else s._inv.item
+    values: list[int] = []
+    push = values.append
+    for kind, a, b in shapes:
+        if kind is Add:
+            push(add(values[a], values[b]))
+        elif kind is Mul:
+            push(mul(values[a], values[b]))
+        elif kind is Neg:
+            push(neg(values[a]))
+        elif kind is Inv:
+            push(inv(values[a]))
+        elif kind is Var:
+            try:
+                push(assignment[a])
+            except KeyError:
+                raise UnboundVariable(a) from None
+        else:
+            push(s.zero if kind is Zero else s.one)
+    return values[t.program.roots[0]]
 
 
 # A formula is compiled to straight-line code over slots.  Each slot is

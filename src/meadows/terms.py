@@ -10,6 +10,7 @@ the five ring symbols plus inverse.
 children first.  Each term and formula keeps the one it compiles on first
 use (``Compiled.program``), which equality, hashing, the term functions and
 the checks read; only the printer, the parser and ``eval_term`` walk terms.
+A decimal literal is built with its program already kept.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ class Compiled:
 class _Node(Compiled):
     """Base of the term nodes.  Equal trees have identical programs (a shape
     is numbered where it first occurs, and the root's carries the class), so
-    equality compares kept shape lists; the hash is taken from them once."""
+    equality compares kept shape lists; the hash is taken from them once.
+    Nodes have slots, for these two and for their fields, and no dict, so
+    they are smaller and built faster.  Each class declares its own rather
+    than ask ``dataclass(slots=True)``, which builds every class twice."""
 
-    __slots__ = ()
+    __slots__ = ("_program", "_hash")
 
     def _roots(self):
         return (self,)
@@ -75,39 +79,44 @@ class _Node(Compiled):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Zero(_Node):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class One(_Node):
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     """A variable; names match [a-z][a-z0-9_]* and are case-sensitive."""
 
+    __slots__ = ("name",)
     name: str
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Inv(_Node):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
+    __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Node):
+    __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
@@ -155,16 +164,27 @@ class Program(NamedTuple):
     roots: list[int]
 
 
+_LEAVES = (Var, Zero, One)
+
+
 def compile_terms(roots: Iterable[Term]) -> Program:
     """The Program of roots: each shape is numbered when its children are,
     left before right.  The explicit stack holds both children of a node at
     once and nodes are memoised by id, so no depth exhausts the interpreter's
-    stack and a shared subterm is walked once."""
+    stack and a shared subterm is walked once.  A sum among the roots that
+    already keeps its program, such as a decimal literal, is not walked:
+    its shapes are consed in their kept order, which is the order the walk
+    would cons them in.  (Asking any other root for a kept program would
+    cost more, summed over the roots of small formulas, than walking the
+    few such roots it would spare.)"""
     shapes: dict[tuple, int] = {}
     memo: dict[int, int] = {}
     indices: list[int] = []
     get, cons = memo.get, shapes.setdefault
     for root in roots:
+        kept = type(root) is Add and getattr(root, "_program", None)
+        if kept and id(root) not in memo:
+            memo[id(root)] = _splice(shapes, kept)
         stack = [root]
         push, pop = stack.append, stack.pop
         while stack:
@@ -174,13 +194,37 @@ def compile_terms(roots: Iterable[Term]) -> Program:
                 continue
             cls = type(node)
             if cls is Add or cls is Mul:
-                a, b = get(id(node.left)), get(id(node.right))
-                if a is None or b is None:
-                    if b is None:
-                        push(node.right)
-                    if a is None:
-                        push(node.left)
+                a = get(id(node.left))
+                if a is None:
+                    # Down the left spine in one loop, to its first node
+                    # that is numbered or not a sum or product.  A right
+                    # child that is neither numbered nor a leaf is pushed
+                    # above its parent, so it is walked before it; a leaf is
+                    # numbered with its parent, after the left child.
+                    while True:
+                        right = node.right
+                        if type(right) not in _LEAVES and id(right) not in memo:
+                            push(right)
+                        node = node.left
+                        if id(node) in memo:
+                            break
+                        push(node)
+                        cls = type(node)
+                        if cls is not Add and cls is not Mul:
+                            break
                     continue
+                right = node.right
+                b = get(id(right))
+                if b is None:
+                    kind = type(right)
+                    if kind is Var:
+                        shape = (kind, right.name, None)
+                    elif kind is Zero or kind is One:
+                        shape = (kind, None, None)
+                    else:
+                        push(right)
+                        continue
+                    b = memo[id(right)] = cons(shape, len(shapes))
                 shape = (cls, a, b)
             elif cls is Neg or cls is Inv:
                 a = get(id(node.arg))
@@ -198,6 +242,25 @@ def compile_terms(roots: Iterable[Term]) -> Program:
             memo[id(node)] = cons(shape, len(shapes))
         indices.append(memo[id(root)])
     return Program(list(shapes), indices)
+
+
+def _splice(shapes: dict[tuple, int], kept: Program) -> int:
+    """Cons the shapes of a term's kept program into shapes, in order; the
+    index of its root."""
+    if not shapes:
+        shapes.update(zip(kept.shapes, range(len(kept.shapes))))
+        return kept.roots[0]
+    cons = shapes.setdefault
+    index: list[int] = []
+    for kind, a, b in kept.shapes:
+        if kind is Add or kind is Mul:
+            shape = (kind, index[a], index[b])
+        elif kind is Neg or kind is Inv:
+            shape = (kind, index[a], None)
+        else:
+            shape = (kind, a, b)
+        index.append(cons(shape, len(shapes)))
+    return index[kept.roots[0]]
 
 
 def free_vars(t: Term) -> set[str]:
@@ -245,11 +308,12 @@ def term_size(t: Term) -> int:
 Token = tuple[str, str, int]  # kind, text, position
 
 # The deepest nesting of parentheses, inv(, unary minus signs and postfix
-# ^-1 accepted, counted along each path into the term.  Two consumers still
-# recurse: this parser, up to six frames per level, and eval_term, one per
-# node on a path, so a deeper input would exhaust the stack; no formula
-# written or encoded here nests half this deep.  Left-deep sums and
-# products are not counted: the parser loops over them.
+# ^-1 accepted, counted along each path into the term.  This parser
+# recurses, up to six frames per level, so a deeper input would exhaust
+# the stack; no formula written or encoded here nests half this deep.
+# Left-deep sums and products are not counted: the parser loops over them.
+# (structures.eval_term recurses too, but it is the checker's test oracle
+# and no command evaluates with it.)
 _MAX_NESTING = 100
 # A decimal literal k is a sum of k ones, so larger ones are refused.
 _MAX_LITERAL = 10_000
@@ -351,10 +415,23 @@ class Cursor:
 
 
 def _literal(k: int) -> Term:
-    # Decimal literals are sums of ones: 0, 1, 1+1, (1+1)+1, ...
-    t: Term = ONE if k else ZERO
-    for _ in range(k - 1):
-        t = Add(t, ONE)
+    """Decimal literals are sums of ones: 0, 1, 1+1, (1+1)+1, ...  The sum
+    keeps its program, built along with it: exactly the one the walk would
+    give, and much cheaper."""
+    if k < 2:
+        return ONE if k else ZERO
+    # Each node is Add(t, ONE), with its two slots set directly: about half
+    # the time of the frozen __init__.
+    new, left, right = object.__new__, Add.left.__set__, Add.right.__set__
+    t: Term = ONE
+    shapes: list[tuple] = [(One, None, None)]
+    for i in range(k - 1):
+        node = new(Add)
+        left(node, t)
+        right(node, ONE)
+        t = node
+        shapes.append((Add, i, 0))
+    object.__setattr__(t, "_program", Program(shapes, [k - 1]))
     return t
 
 

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from meadows import (
     cli, dump_structure, errors, finite_meadows, load_structure, zmod_ring,
@@ -84,22 +85,14 @@ class TestEval:
         assert (code, out) == (4, "")
         assert "above the bound of 10000" in err
 
-    # structures.eval_term is the one evaluator that still recurses, so these
-    # fail until it walks iteratively.
-    @pytest.mark.xfail(strict=True, raises=RecursionError)
     @pytest.mark.parametrize(
         "term, want", [("5000", "2\n"), ("+".join(["x"] * 3000), "4\n")],
         ids=["literal", "sum"],
     )
     def test_deep_term_on_a_finite_model(self, capsys, term, want):
-        try:
-            code, out, _ = run(
-                capsys, "eval", term, "--model", "zp:7", "--assign", "x=1"
-            )
-        except RecursionError as exc:
-            # Raised again without its thousand frames: pytest compares the
-            # locals of every pair of frames, each pair a deep term equality.
-            raise RecursionError(str(exc)) from None
+        code, out, _ = run(
+            capsys, "eval", term, "--model", "zp:7", "--assign", "x=1"
+        )
         assert (code, out) == (0, want)
 
     def test_leading_minus_after_double_dash(self, capsys):
@@ -421,6 +414,13 @@ class TestPlumbing:
         assert out == ""
         assert "inv:\n0 1 2 3 4 5\n" in target.read_text(encoding="utf-8")
 
+    def test_out_flag_to_an_unwritable_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.txt"
+        code, out, err = run(capsys, "table", "mdk:6", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_file_model_round_trip(self, capsys, tmp_path):
         path = tmp_path / "md6.struct"
         first = run(capsys, "table", "mdk:6", "--out", str(path))
@@ -450,6 +450,21 @@ class TestPlumbing:
 
         monkeypatch.setattr(cli, "cmd_classify", fail)
         assert run(capsys, "classify") == (EXIT_CODES[kind], "", "boom\n")
+
+    @pytest.mark.parametrize("error, what", [
+        (RecursionError, "stack"), (MemoryError, "memory"),
+    ])
+    def test_last_resort_exits_with_the_bound_code(
+        self, capsys, monkeypatch, error, what
+    ):
+        def fail(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        code, out, err = run(capsys, "eval", "1", "--model", "zp:7")
+        assert (code, out) == (4, "")
+        assert err == f"a size bound was hit: the input exhausted the {what}\n"
+        assert "Traceback" not in err
 
     def test_unknown_model_prefix(self, capsys):
         code, _, err = run(capsys, "eval", "1", "--model", "weird:3")
@@ -492,3 +507,81 @@ class TestPlumbing:
         code, out, err = run(capsys, "table", f"file:{path}")
         assert (code, out) == (want, "")
         assert ("bound" in err) == (want == 4)
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+# Model references, good and bad; every carrier is small or refused by a
+# bound check before anything of its size is built.
+MODELS = [
+    "zp:7", "mdk:6", "mdk:30", "gf:2,2", "q", "prod:zp:2,zp:3", "zp:9",
+    "mdk:0", "gf:2", "zp:x", "zp:100003", "gf:2,30", "prod:q,zp:2",
+    "file:/nonexistent", "weird:3",
+]
+literals = st.integers(min_value=0, max_value=10_000).map(str)
+# Refused by the literal bound before a single one is built.
+oversized = st.sampled_from(["10001", "99999999999999999999", "0" * 30 + "7"])
+term_texts = st.recursive(
+    st.sampled_from(["x", "y", "0", "1"]) | literals,
+    lambda child: st.one_of(
+        st.tuples(child, st.sampled_from("+-*/"), child).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"
+        ),
+        child.map(lambda t: f"-{t}"),
+        child.map(lambda t: f"{t}^-1"),
+        child.map(lambda t: f"inv({t})"),
+    ),
+    max_leaves=6,
+)
+# Well-formed terms, and token soup that is mostly not.
+soup = st.lists(
+    st.sampled_from(["x", "y", "1", "+", "-", "*", "/", "^-1", "(", ")",
+                     "inv(", "=", "!=", "&", "->", " ", "^", "!", "X"])
+    | literals | oversized,
+    max_size=8,
+).map("".join)
+formula_texts = st.one_of(
+    st.tuples(term_texts, st.sampled_from(["=", "!="]), term_texts).map(" ".join),
+    st.tuples(term_texts, term_texts, term_texts, term_texts).map(
+        lambda t: f"{t[0]} = {t[1]} -> {t[2]} = {t[3]}"
+    ),
+    soup,
+)
+assignments = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "z", ""]),
+              st.sampled_from(["0", "1", "5", "-1/2", "29", "a", ""])),
+    max_size=3,
+).map(lambda pairs: ",".join(f"{k}={v}" for k, v in pairs))
+commands = st.one_of(
+    st.tuples(st.just("eval"), term_texts | soup, st.sampled_from(MODELS),
+              assignments).map(
+        lambda c: ["eval", "--model", c[2], "--assign", c[3], "--", c[1]]
+    ),
+    st.tuples(st.just("check"), formula_texts,
+              st.lists(st.sampled_from(MODELS), min_size=1, max_size=2),
+              st.sampled_from(["1", "20"])).map(
+        lambda c: ["check", *[a for m in c[2] for a in ("--model", m)],
+                   "--samples", c[3], "--", c[1]]
+    ),
+    st.tuples(st.just("encode"), formula_texts).map(
+        lambda c: ["encode", "--", c[1]]
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(commands)
+    def test_every_input_exits_with_a_listed_code(self, capsys, argv):
+        outcomes = []
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out))
+            assert code in range(7), (argv, captured.err)
+            assert "Traceback" not in captured.err
+        assert outcomes[0] == outcomes[1]

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from meadows import (
-    MD, REF, SIP,
-    EvalTrace, ParseError, Q_ONE, Q_ZERO, RationalZT, UnboundVariable,
-    eval_rational, ln_equation, numeral, parse_equation, parse_rational,
-    parse_term, q_add, q_inv, q_mul, q_neg, sample_assignments, sample_check,
-    sample_check_conditional,
+    CR, DERIVED_IDENTITIES, GIL, MD, REF, RIL, SEP, SIP, ZIL,
+    Add, Equation, EvalTrace, Inv, Mul, Neg, One, ParseError, Q_ONE, Q_ZERO,
+    RationalZT, SampleVerdict, UnboundVariable, Var, Zero,
+    encode_conditional, eval_rational, ln_equation, numeral, parse_equation,
+    parse_rational, parse_term, q_add, q_inv, q_mul, q_neg, random_conditional,
+    random_equation, sample_assignments, sample_check, sample_check_conditional,
 )
 from meadows import rationals as rationals_module
 
@@ -15,6 +18,59 @@ rationals = st.builds(
     st.integers(min_value=-10**6, max_value=10**6),
     st.integers(min_value=1, max_value=10**6),
 )
+# Integers and the singular points as well, for the fast paths.
+values = st.one_of(
+    rationals,
+    st.builds(RationalZT, st.integers(min_value=-10**6, max_value=10**6)),
+    st.sampled_from([Q_ZERO, Q_ONE, RationalZT(-1)]),
+)
+terms = st.recursive(
+    st.one_of(
+        st.builds(Zero), st.builds(One), st.builds(Var, st.sampled_from("xy"))
+    ),
+    lambda child: st.one_of(
+        st.builds(Neg, child), st.builds(Inv, child),
+        st.builds(Add, child, child), st.builds(Mul, child, child),
+    ),
+    max_leaves=20,
+)
+
+
+def by_rational_arithmetic(program, binding):
+    """The value of every shape of a Program by RationalZT arithmetic:
+    q_add, q_mul, q_neg and q_inv, shape by shape."""
+    ops = {Add: q_add, Mul: q_mul, Neg: q_neg, Inv: q_inv}
+    out = []
+    for kind, a, b in program.shapes:
+        if kind is Var:
+            out.append(binding[a])
+        elif kind is Zero or kind is One:
+            out.append(Q_ZERO if kind is Zero else Q_ONE)
+        else:
+            op = ops[kind]
+            out.append(op(out[a]) if b is None else op(out[a], out[b]))
+    return out
+
+
+def sampled_by_rational_arithmetic(formula, samples, seed):
+    """sample_check_conditional with every sample valued by RationalZT
+    arithmetic: the same points, the same encoding of quasi-identities and
+    the same order of tests."""
+    atoms = (formula.conclusion, *formula.premises)
+    if formula.premises and all(
+        isinstance(atom, Equation) for atom in atoms
+    ):
+        formula = encode_conditional(formula)
+        atoms = (formula,)
+    program = formula.program
+    tests = list(zip(program.roots[::2], program.roots[1::2],
+                     [isinstance(atom, Equation) for atom in atoms]))
+    for a in sample_assignments(formula.variables(), samples, seed):
+        out = by_rational_arithmetic(program, a)
+        holds = [(out[lhs] == out[rhs]) == equal for lhs, rhs, equal in tests]
+        if not holds[0] and all(holds[1:]):
+            return SampleVerdict(False, a, samples)
+    return SampleVerdict(True, None, samples)
 
 
 class TestCanonicalForm:
@@ -66,6 +122,53 @@ class TestArithmetic:
         assert -RationalZT(2, 5) == RationalZT(-2, 5)
         assert RationalZT(1, 2) - RationalZT(1, 2) == Q_ZERO
         assert RationalZT(2, 3) * RationalZT(3, 4) == RationalZT(1, 2)
+
+
+class TestIntPairs:
+    """The sampler and eval_rational fold on (numerator, denominator) int
+    pairs; each operation gives the pair of its RationalZT result."""
+
+    @staticmethod
+    def pair(q):
+        return q.numerator, q.denominator
+
+    @given(values, values)
+    def test_binary(self, a, b):
+        pair = self.pair
+        assert rationals_module._add(pair(a), pair(b)) == pair(q_add(a, b))
+        assert rationals_module._mul(pair(a), pair(b)) == pair(q_mul(a, b))
+
+    @given(values)
+    def test_unary(self, a):
+        pair = self.pair
+        assert rationals_module._neg(pair(a)) == pair(q_neg(a))
+        assert rationals_module._inv(pair(a)) == pair(q_inv(a))
+
+    @given(terms, values, values)
+    def test_eval_agrees_with_rational_arithmetic(self, t, x, y):
+        binding = {"x": x, "y": y}
+        out = by_rational_arithmetic(t.program, binding)
+        unsafe = any(
+            out[a].is_zero() for kind, a, _ in t.program.shapes if kind is Inv
+        )
+        want = EvalTrace(out[t.program.roots[0]], unsafe)
+        assert eval_rational(t, binding) == want
+
+    def test_sampled_verdicts_agree_with_rational_arithmetic(self):
+        # Seeded equations and conditionals, and every named law; verdicts
+        # and counterexamples must be the same objects' values.
+        rng = random.Random(15)
+        corpus = [random_equation(rng, ("x", "y", "z"), 3) for _ in range(30)]
+        corpus += [
+            random_conditional(rng, ("x", "y", "z"), 3, 2) for _ in range(30)
+        ]
+        for laws in (CR, MD, SIP, REF, RIL, ZIL, DERIVED_IDENTITIES):
+            corpus += laws.values()
+        corpus += [GIL, SEP]
+        for i, formula in enumerate(corpus):
+            assert sample_check_conditional(formula, 60, seed=i) == (
+                sampled_by_rational_arithmetic(formula, 60, i)
+            ), i
 
 
 class TestInverse:
@@ -179,11 +282,14 @@ class TestSampling:
     def test_closed_subterms_are_valued_once_per_formula(self, monkeypatch):
         calls = []
 
+        add = rationals_module._add
+
         def counted(a, b):
             calls.append(None)
-            return q_add(a, b)
+            return add(a, b)
 
-        monkeypatch.setattr(rationals_module, "q_add", counted)
+        # The fold adds canonical (numerator, denominator) int pairs.
+        monkeypatch.setattr(rationals_module, "_add", counted)
         verdict = sample_check_conditional(
             parse_equation("x + 30 = 30 + x"), 10, seed=0
         )

@@ -19,6 +19,7 @@ from meadows import (
     build_mdk, build_prime_field,
     characteristic, check_axiom_set, check_conditional, check_equation,
     decompose, dump_structure, eval_term, field_factors, find_homomorphisms,
+    fold_point,
     generating_set,
     idempotents, is_meadow, is_minimal, is_nontrivial, is_zt_field,
     load_structure, local_unit, numeral, parse_equation, parse_term,
@@ -114,6 +115,37 @@ class TestEval:
             for k in range(0, 2 * s.size + 1):
                 assert eval_term(numeral(k), s) == acc
                 acc = s.add[acc][s.one]
+
+
+class TestFoldPoint:
+    def test_agrees_with_eval_term(self, battery):
+        # The recursive oracle against the fold of the kept program, at
+        # seeded points of every battery member.
+        rng = random.Random(23)
+        for s in battery:
+            for _ in range(40):
+                t = random_term(rng, ("x", "y", "z"), 4)
+                a = {v: rng.randrange(s.size) for v in ("x", "y", "z")}
+                assert fold_point(t, s, a) == eval_term(t, s, a), (s.name, t)
+
+    def test_takes_any_depth(self):
+        assert fold_point(parse_term("5000"), Z7, {}) == 5000 % 7
+        assert fold_point(numeral(100_000), MD6, {}) == 100_000 % 6
+        assert fold_point(parse_term("+".join(["x"] * 3000)), Z7, {"x": 1}) == 4
+        product = parse_term("*".join(["x^-1", "y"] * 1500))
+        assert fold_point(product, Z7, {"x": 3, "y": 5}) == 1
+
+    def test_unbound_variable(self):
+        with pytest.raises(UnboundVariable, match="y"):
+            fold_point(parse_term("x + y"), MD6, {"x": 1})
+
+    def test_missing_inverse_table(self):
+        with pytest.raises(MissingInverseTable):
+            fold_point(Inv(Var("x")), zmod_ring(6), {"x": 2})
+
+    def test_a_missing_inverse_table_is_reported_before_an_unbound_variable(self):
+        with pytest.raises(MissingInverseTable):
+            fold_point(parse_term("y + x^-1"), zmod_ring(6), {"x": 2})
 
 
 def record_blocks(monkeypatch):

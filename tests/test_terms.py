@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meadows import (
-    ONE, ZERO, Add, Inv, Mul, Neg, ParseError, SizeOverflow, Var,
+    ONE, ZERO, Add, Inv, Mul, Neg, One, ParseError, SizeOverflow, Var, Zero,
     eval_rational, free_vars, numeral, parse_term, print_term, rational,
     substitute, term_size,
 )
@@ -278,6 +278,12 @@ def rebuilt(program):
     return out
 
 
+def copy_of(t):
+    """A structural copy of t whose nodes keep no program yet."""
+    program = recursive_program((t,))
+    return rebuilt(program)[program.roots[0]]
+
+
 class TestProgram:
     def test_distinct_shapes_children_first(self):
         shared = Mul(X, Inv(X))
@@ -302,3 +308,39 @@ class TestProgram:
         assert [terms_by_index[i] for i in program.roots] == [t, s, t]
         alone = compile_terms((t,))
         assert alone.roots == [len(alone.shapes) - 1]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 1500, 5000])
+    def test_a_literal_keeps_the_program_its_walk_gives(self, k):
+        copy = One() if k else Zero()
+        for _ in range(k - 1):
+            copy = Add(copy, One())
+        literal = terms_module._literal(k)
+        assert literal.program == compile_terms((copy,))
+        assert literal == copy and hash(literal) == hash(copy)
+
+    @given(terms, terms)
+    def test_kept_programs_are_numbered_as_the_walk_numbers(self, s, t):
+        # The second root shares the shapes of s with the first.
+        u = Add(t, s)
+        want = recursive_program((s, u))
+        for keep in ((), (0,), (1,), (0, 1)):
+            roots = (copy_of(s), copy_of(u))
+            for i in keep:
+                roots[i].program
+            assert compile_terms(roots) == want, keep
+
+    def test_literals_after_other_roots(self):
+        # Within the recursion limit of recursive_program.
+        roots = [parse_term("x + 1"), parse_term("3"), parse_term("300"),
+                 parse_term("2")]
+        assert compile_terms(roots) == recursive_program(
+            [copy_of(t) for t in roots]
+        )
+
+    def test_nodes_stay_immutable(self):
+        t = parse_term("5000")
+        with pytest.raises(AttributeError):
+            t.left = ONE
+        with pytest.raises(AttributeError):
+            X.name = "y"
+        assert not hasattr(t, "__dict__")
